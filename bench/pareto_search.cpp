@@ -7,9 +7,10 @@
 // ParetoEngine run, which measures once and prices every candidate from
 // the cached profiles. The bench reports candidates/sec for both, the
 // dedup and profile-memo hit rates, and the speedup; it exits nonzero
-// if the frontier JSON is not byte-identical across the --jobs ladder
-// (always), or if the speedup falls under 10x (unless --no-perf-gate,
-// for sanitizer builds where wall-clock ratios are meaningless).
+// if the frontier JSON or the evaluator memo counters differ across the
+// --jobs ladder (always), or if the speedup falls under 10x (unless
+// --no-perf-gate, for sanitizer builds where wall-clock ratios are
+// meaningless).
 //
 //   ./build/pareto_search [--kernels A,B,...] [--scale S]
 //                         [--trace-refs N] [--rounds R] [--jobs 1,2,8]
@@ -121,10 +122,11 @@ int main(int argc, char** argv) {
   // Incremental path: the full Pareto search at each jobs count. Every
   // run includes its own one-time measurement phase, so candidates/sec
   // is the honest end-to-end figure, not an evaluate()-only best case.
-  TextTable table(
-      {"Jobs", "Wall[s]", "Cand/s", "Evald", "Dedup%", "Memo%", "Identical"});
+  TextTable table({"Jobs", "Wall[s]", "Cand/s", "Evald", "Dedup%", "Memo%",
+                   "Identical", "MemoSame"});
   std::string base_json;
   bool identical = true;
+  bool memo_identical = true;
   double cps_j1 = 0.0;
   double best_cps = 0.0;
   study::ParetoStats stats_j1;
@@ -145,6 +147,10 @@ int main(int argc, char** argv) {
       stats_j1 = st;
     }
     best_cps = std::max(best_cps, cps);
+    const bool memo_same =
+        st.evaluator.evaluations == stats_j1.evaluator.evaluations &&
+        st.evaluator.memo_hits == stats_j1.evaluator.memo_hits &&
+        st.evaluator.memo_misses == stats_j1.evaluator.memo_misses;
     const double memo_total = static_cast<double>(st.evaluator.memo_hits +
                                                   st.evaluator.memo_misses);
     table.row()
@@ -162,10 +168,15 @@ int main(int argc, char** argv) {
                             : 0.0,
              1)
         .cell(json == base_json ? "yes" : "NO")
+        .cell(memo_same ? "yes" : "NO")
         .done();
     if (json != base_json) {
       identical = false;
       std::cerr << "[bench] DETERMINISM VIOLATION at jobs=" << jobs << "\n";
+    }
+    if (!memo_same) {
+      memo_identical = false;
+      std::cerr << "[bench] MEMO COUNTERS DIFFER at jobs=" << jobs << "\n";
     }
   }
   table.print(std::cout);
@@ -201,7 +212,8 @@ int main(int argc, char** argv) {
                                       stats_j1.evaluator.memo_hits) /
                                       memo_total
                                 : 0.0)
-            .set("frontier_identical_across_jobs", identical);
+            .set("frontier_identical_across_jobs", identical)
+            .set("memo_identical_across_jobs", memo_identical);
     std::ofstream out(json_path);
     out << io::dump(doc) << "\n";
     if (!out) {
@@ -211,7 +223,7 @@ int main(int argc, char** argv) {
     std::cerr << "[bench] wrote " << json_path << "\n";
   }
 
-  if (!identical) return 1;
+  if (!identical || !memo_identical) return 1;
   if (perf_gate && speedup < 10.0) {
     std::cerr << "[bench] PERF GATE FAILED: " << speedup << "x < 10x\n";
     return 1;

@@ -141,6 +141,9 @@ constexpr const char* kUsage =
     "                       (default 4)\n"
     "  --search-seed N      explorer-walk seed (default 2019; results are\n"
     "                       identical for every --jobs at a fixed seed)\n"
+    "  --golden             use the exact pareto-snapshot configuration\n"
+    "                       (overrides base/kernel/scale/threads/seed/\n"
+    "                       trace-refs and every search option)\n"
     "\n"
     "diff options:\n"
     "  --tolerance T        max relative delta accepted per metric\n"
@@ -550,32 +553,38 @@ int cmd_explore(const RunOptions& opt, std::ostream& out, std::ostream& err) {
 /// frontier over the selected objectives.
 int cmd_pareto(const RunOptions& opt, std::ostream& out, std::ostream& err) {
   study::ParetoConfig cfg;
-  std::string bad;
-  cfg.kernels = resolve_kernels(opt.kernels, bad);
-  if (!bad.empty()) return usage_error(err, bad);
-  cfg.base = opt.base;
-  cfg.scale = opt.scale;
-  cfg.threads = opt.threads;
-  cfg.seed = opt.seed;
-  cfg.trace_refs = opt.trace_refs;
-  cfg.jobs = opt.jobs;
-  cfg.kernel_jobs = opt.kernel_jobs;
-  cfg.search_seed = opt.search_seed;
-  cfg.rounds = opt.rounds;
-  cfg.explorers = opt.explorers;
-  cfg.max_depth = opt.max_depth;
-  cfg.budget.max_area_ratio = opt.budget_area;
-  cfg.budget.max_tdp_ratio = opt.budget_tdp;
-  if (!opt.objectives.empty()) {
-    cfg.objectives.clear();
-    for (const auto& name : opt.objectives) {
-      try {
-        cfg.objectives.push_back(study::objective_from_string(name));
-      } catch (const std::invalid_argument& e) {
-        return usage_error(err, e.what());
+  if (opt.golden) {
+    cfg = study::golden_pareto_config();
+  } else {
+    std::string bad;
+    cfg.kernels = resolve_kernels(opt.kernels, bad);
+    if (!bad.empty()) return usage_error(err, bad);
+    cfg.base = opt.base;
+    cfg.scale = opt.scale;
+    cfg.threads = opt.threads;
+    cfg.seed = opt.seed;
+    cfg.trace_refs = opt.trace_refs;
+    cfg.search_seed = opt.search_seed;
+    cfg.rounds = opt.rounds;
+    cfg.explorers = opt.explorers;
+    cfg.max_depth = opt.max_depth;
+    cfg.budget.max_area_ratio = opt.budget_area;
+    cfg.budget.max_tdp_ratio = opt.budget_tdp;
+    if (!opt.objectives.empty()) {
+      cfg.objectives.clear();
+      for (const auto& name : opt.objectives) {
+        try {
+          cfg.objectives.push_back(study::objective_from_string(name));
+        } catch (const std::invalid_argument& e) {
+          return usage_error(err, e.what());
+        }
       }
     }
   }
+  // Job counts never change the results, so they stay user-controlled
+  // even under --golden.
+  cfg.jobs = opt.jobs;
+  cfg.kernel_jobs = opt.kernel_jobs;
 
   err << "[fpr] pareto: base " << cfg.base << ", budget area<="
       << cfg.budget.max_area_ratio << " tdp<=" << cfg.budget.max_tdp_ratio

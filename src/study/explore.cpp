@@ -1,14 +1,13 @@
 #include "study/explore.hpp"
 
-#include <algorithm>
+#include <iterator>
 #include <map>
 #include <set>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "arch/machines.hpp"
-#include "common/thread_pool.hpp"
+#include "common/execution_context.hpp"
 
 namespace fpr::study {
 
@@ -49,8 +48,10 @@ ExploreResults ExploreEngine::run() {
   std::set<std::string> seen_specs;
   std::map<std::string, std::string> canonical;  // digest -> first spec
   canonical.emplace(arch::canonical_cpu_digest(base), "<the base machine>");
+  // Slot 0 is the baseline: the base itself, the empty spec.
   std::vector<arch::MachineVariant> variants;
-  variants.reserve(specs.size());
+  variants.reserve(specs.size() + 1);
+  variants.push_back({"", base});
   for (const auto& spec : specs) {
     if (!seen_specs.insert(spec).second) {
       throw std::invalid_argument("duplicate variant spec '" + spec + "'");
@@ -80,34 +81,22 @@ ExploreResults ExploreEngine::run() {
   const VariantEvaluator evaluator(base, ec, factory_);
 
   // Phase 2: score the baseline and every variant from the cached
-  // measurements — model arithmetic only, slot-ordered so any jobs
-  // split is a pure reordering.
+  // measurements as one batch — new geometries replay on cfg.jobs
+  // workers, results are slot-ordered so any jobs split is a pure
+  // reordering.
+  ExecutionContext ctx(cfg_.jobs);
+  auto scores = evaluator.evaluate_batch(variants, &ctx);
   ExploreResults out;
   out.base = base.short_name;
-  out.baseline = evaluator.evaluate(arch::MachineVariant{"", std::move(base)});
-  out.variants.resize(variants.size());
-
-  const unsigned hw = std::thread::hardware_concurrency();
-  const unsigned jobs = std::max(1u, cfg_.jobs != 0 ? cfg_.jobs : hw);
-  if (jobs == 1 || variants.size() <= 1) {
-    for (std::size_t i = 0; i < variants.size(); ++i) {
-      out.variants[i] = evaluator.evaluate(variants[i]);
-    }
-  } else {
-    ThreadPool pool(jobs);
-    pool.parallel_for(variants.size(),
-                      [&](std::size_t begin, std::size_t end, unsigned) {
-                        for (std::size_t i = begin; i < end; ++i) {
-                          out.variants[i] = evaluator.evaluate(variants[i]);
-                        }
-                      });
-  }
+  out.baseline = std::move(scores.front());
+  out.variants.assign(std::make_move_iterator(scores.begin() + 1),
+                      std::make_move_iterator(scores.end()));
 
   stats_ = evaluator.measurement_stats();
   // Count the scored (kernel, variant) grid like the monolithic engine
   // did, and report replay-cache totals across both phases.
-  stats_.machine_evals +=
-      variants.size() * static_cast<std::uint64_t>(evaluator.kernel_count());
+  stats_.machine_evals += out.variants.size() *
+                          static_cast<std::uint64_t>(evaluator.kernel_count());
   const auto sim = evaluator.sim_stats();
   stats_.sim_hits = sim.hits;
   stats_.sim_misses = sim.misses;

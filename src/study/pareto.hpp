@@ -18,12 +18,15 @@
 //                (common/rng.hpp — no wall-clock, no random_device);
 //                candidates are deduplicated by canonical resolved
 //                machine across the whole run, budget-filtered, then
-//                scored by one shared study::VariantEvaluator across
-//                ExecutionContext workers into slot-indexed buffers and
-//                merged into the archive in slot order.
+//                scored as one VariantEvaluator::evaluate_batch (the
+//                round's new geometries replayed as one flat task list
+//                on every ExecutionContext worker) and merged into the
+//                archive in slot order.
 //
-// Candidate generation, dedup, filtering, and the merge are all
-// sequential and jobs-independent; scoring is pure model arithmetic.
+// Candidate generation, dedup, filtering, the evaluator's replay plan,
+// and the merge are all sequential and jobs-independent; workers only
+// run replays (pure functions of their SimCache keys) and model
+// arithmetic.
 // The frontier (sorted by objective vector, then spec) is therefore
 // byte-identical once serialized for every --jobs value — the same
 // guarantee the study and explore pipelines carry.
@@ -73,9 +76,8 @@ struct ParetoPoint {
     const std::vector<std::vector<double>>& objectives);
 
 /// Candidate-stream counters. Everything here is computed in the
-/// sequential generation/merge phases, so all values are identical for
-/// every --jobs; the nested evaluator memo split is the one exception
-/// (see EvaluatorStats) and is deliberately never serialized.
+/// sequential generation/plan/merge phases, so all values (the nested
+/// evaluator memo counters included) are identical for every --jobs.
 struct ParetoStats {
   std::uint64_t generated = 0;    ///< specs proposed (before any filter)
   std::uint64_t deduped = 0;      ///< dropped: canonical machine seen
@@ -142,5 +144,13 @@ class ParetoEngine {
   StudyEngine::KernelFactory factory_;
   ParetoStats stats_;
 };
+
+/// The deterministic configuration behind
+/// tests/golden/pareto_snapshot.json: the study golden's six kernels at
+/// its scale/seed/trace length, base KNL, the CLI's default search
+/// (seed, rounds, explorers, depth, budget box, objectives).
+/// Regenerate the snapshot with
+/// `fpr pareto --golden --out tests/golden/pareto_snapshot.json`.
+[[nodiscard]] ParetoConfig golden_pareto_config();
 
 }  // namespace fpr::study

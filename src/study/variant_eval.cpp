@@ -1,9 +1,12 @@
 #include "study/variant_eval.hpp"
 
+#include <atomic>
 #include <cmath>
 #include <stdexcept>
+#include <unordered_set>
 #include <utility>
 
+#include "common/execution_context.hpp"
 #include "common/units.hpp"
 #include "study/domain_util.hpp"
 
@@ -53,11 +56,11 @@ VariantEvaluator::VariantEvaluator(arch::CpuSpec base, const Config& cfg,
   auto results = engine.run();  // rethrows kernel-verification failures
   measurement_stats_ = engine.stats();
 
-  auto base_profiles = std::make_shared<ProfileSet>();
-  base_profiles->reserve(results.kernels.size());
+  ProfileSet base_profiles;
+  base_profiles.reserve(results.kernels.size());
   kernels_.reserve(results.kernels.size());
   for (auto& k : results.kernels) {
-    base_profiles->push_back(k.machines[0].mem);
+    base_profiles.push_back(k.machines[0].mem);
     kernels_.push_back(
         {std::move(k.info), std::move(k.meas), k.machines[0].perf});
   }
@@ -67,44 +70,111 @@ VariantEvaluator::VariantEvaluator(arch::CpuSpec base, const Config& cfg,
   memo_.emplace(arch::memory_model_digest(base_), std::move(base_profiles));
 }
 
-std::shared_ptr<const VariantEvaluator::ProfileSet>
-VariantEvaluator::profiles_for(const arch::CpuSpec& cpu) const {
-  const std::string digest = arch::memory_model_digest(cpu);
-  {
-    std::lock_guard lock(mu_);
-    if (const auto it = memo_.find(digest); it != memo_.end()) {
-      ++stats_.memo_hits;
-      return it->second;
-    }
-    ++stats_.memo_misses;
-  }
-  // Compute outside the lock: a distinct geometry costs one replay set,
-  // and concurrent callers racing on the same new digest just compute
-  // identical profiles (deterministic simulation) — first insert wins.
-  auto set = std::make_shared<ProfileSet>();
-  set->reserve(kernels_.size());
-  for (const auto& kb : kernels_) {
-    set->push_back(model::profile_memory(cpu, kb.meas, trace_refs_,
-                                         model::kDefaultScaleShift,
-                                         sim_cache_.get()));
-  }
+std::vector<VariantScore> VariantEvaluator::evaluate_batch(
+    const std::vector<arch::MachineVariant>& variants,
+    ExecutionContext* ctx) const {
   std::lock_guard lock(mu_);
-  return memo_.emplace(digest, std::move(set)).first->second;
+
+  // 1. Plan: the batch's memory models not memoized yet, in first-seen
+  //    order. Each costs one memo miss; every other variant is a hit.
+  std::vector<std::string> digests;
+  digests.reserve(variants.size());
+  std::vector<std::size_t> fresh;  // first variant carrying each new digest
+  std::unordered_set<std::string> planned;
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    digests.push_back(arch::memory_model_digest(variants[i].cpu));
+    if (!memo_.contains(digests[i]) && planned.insert(digests[i]).second) {
+      fresh.push_back(i);
+    }
+  }
+
+  // 2. Replay: the distinct hierarchy simulations behind the new
+  //    profiles (digests that differ only in bandwidth share them), as
+  //    one flat task list. Replay costs vary widely with the pattern
+  //    mix, so workers claim tasks from a shared cursor; static chunks
+  //    would leave workers idle behind the slowest one.
+  //    Each key is looked up once, so the SimCache counters do not
+  //    depend on the schedule.
+  struct Replay {
+    const arch::CpuSpec* cpu;
+    memsim::AccessPatternSpec sliced;
+  };
+  std::vector<Replay> replays;
+  std::unordered_set<std::string> keys;
+  for (const std::size_t i : fresh) {
+    const arch::CpuSpec& cpu = variants[i].cpu;
+    for (const auto& kb : kernels_) {
+      // The slice and key profile_memory uses, so step 3 only hits.
+      auto sliced = model::per_core_slice(kb.meas.access, cpu.cores);
+      if (keys.insert(memsim::SimCache::key(cpu, sliced, trace_refs_,
+                                            model::kProfileSeed,
+                                            model::kDefaultScaleShift))
+              .second) {
+        replays.push_back({&cpu, std::move(sliced)});
+      }
+    }
+  }
+  std::atomic<std::size_t> next{0};
+  const auto drain = [&] {
+    for (std::size_t t = next++; t < replays.size(); t = next++) {
+      (void)memsim::simulate_pattern_cached(
+          sim_cache_.get(), *replays[t].cpu, replays[t].sliced, trace_refs_,
+          model::kProfileSeed, model::kDefaultScaleShift);
+    }
+  };
+  if (ctx != nullptr && replays.size() > 1) {
+    ctx->parallel_for(ctx->concurrency(),
+                      [&](std::size_t, std::size_t, unsigned) { drain(); });
+  } else {
+    drain();
+  }
+
+  // 3. Profile each new memory model in kernel order from the cache.
+  for (const std::size_t i : fresh) {
+    ProfileSet set;
+    set.reserve(kernels_.size());
+    for (const auto& kb : kernels_) {
+      set.push_back(model::profile_memory(variants[i].cpu, kb.meas,
+                                          trace_refs_,
+                                          model::kDefaultScaleShift,
+                                          sim_cache_.get()));
+    }
+    memo_.emplace(digests[i], std::move(set));
+  }
+  stats_.memo_misses += fresh.size();
+  stats_.memo_hits += variants.size() - fresh.size();
+
+  // 4. Score: model arithmetic into slot-indexed outputs.
+  std::vector<VariantScore> scores(variants.size());
+  const auto score_one = [&](std::size_t i) {
+    scores[i] = score_against(variants[i], memo_.at(digests[i]));
+  };
+  if (ctx != nullptr) {
+    ctx->for_each(variants.size(), score_one);
+  } else {
+    for (std::size_t i = 0; i < variants.size(); ++i) score_one(i);
+  }
+  stats_.evaluations += variants.size();
+  return scores;
 }
 
 VariantScore VariantEvaluator::evaluate(
     const arch::MachineVariant& variant) const {
+  return std::move(evaluate_batch({variant}).front());
+}
+
+VariantScore VariantEvaluator::score_against(
+    const arch::MachineVariant& variant, const ProfileSet& profiles) const {
   VariantScore score;
   score.variant = variant;
   const arch::CpuSpec& cpu = score.variant.cpu;
-  const auto profiles = profiles_for(cpu);
 
   std::vector<double> time_ratios, energy_ratios, fp64_pcts;
   for (std::size_t i = 0; i < kernels_.size(); ++i) {
     const KernelBase& kb = kernels_[i];
     KernelProjection p;
     p.abbrev = kb.info.abbrev;
-    p.mem = (*profiles)[i];
+    p.mem = profiles[i];
     p.perf = model::evaluate_at_turbo(cpu, kb.meas, p.mem);
     p.time_ratio = p.perf.seconds / kb.perf.seconds;
     p.energy_ratio = (p.perf.power_w * p.perf.seconds) /
@@ -146,11 +216,6 @@ VariantScore VariantEvaluator::evaluate(
   }
   score.site_pct_peak =
       sites.empty() ? 0.0 : site_sum / static_cast<double>(sites.size());
-
-  {
-    std::lock_guard lock(mu_);
-    ++stats_.evaluations;
-  }
   return score;
 }
 

@@ -9,19 +9,25 @@
 //     instrumented exactly once (a StudyEngine over the base machine
 //     alone), and the base machine's hierarchy replays land in a
 //     SimCache the evaluator keeps alive;
-//  2. on-demand *scoring*: evaluate(variant) is model arithmetic only —
-//     memory profiles come from a model-level memo keyed by
-//     arch::memory_model_digest (so bandwidth/TDP/FPU respins reuse the
-//     base profiles outright, and geometry-changing variants replay
-//     through the shared SimCache once per distinct geometry), and the
-//     compute-side model (model::evaluate_at_turbo) is recomputed per
-//     call because it is cheap pure arithmetic.
+//  2. batched *scoring*: evaluate_batch(variants) plans, replays,
+//     profiles, then scores. Memory profiles come from a model-level
+//     memo keyed by arch::memory_model_digest, so bandwidth/TDP/FPU
+//     respins reuse the base profiles outright. A batch first collects
+//     its digests that are not memoized yet (first-seen order), runs
+//     their distinct hierarchy replays (SimCache keys) as one flat task
+//     list on every ExecutionContext worker, builds each new profile set
+//     from those cached replays in kernel order, and finally scores
+//     every variant into its slot. The compute-side model
+//     (model::evaluate_at_turbo) is recomputed per variant because it
+//     is cheap pure arithmetic.
 //
-// evaluate() is const and thread-safe: a search engine may score
-// candidates from many workers concurrently. Scoring reproduces the
-// monolithic pipeline's arithmetic exactly — same model calls, same
-// inputs, same order — which is what lets the rewired ExploreEngine
-// keep the golden explore snapshot byte for byte.
+// The plan, the memo inserts and the evaluator counters happen on the
+// calling thread, and each distinct replay is looked up exactly once, so
+// scores, EvaluatorStats and the SimCache counters are a pure function
+// of the call sequence for any worker count. Scoring
+// reproduces the monolithic pipeline's arithmetic exactly — same model
+// calls, same inputs, same order — which is what lets the rewired
+// ExploreEngine keep the golden explore snapshot byte for byte.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +42,10 @@
 #include "model/exec_model.hpp"
 #include "model/memprofile.hpp"
 #include "study/study_engine.hpp"
+
+namespace fpr {
+class ExecutionContext;  // common/execution_context.hpp
+}
 
 namespace fpr::study {
 
@@ -71,11 +81,12 @@ struct VariantScore {
 double geomean_ratio(const std::vector<double>& ratios);
 
 /// Scoring-side counters (the measurement phase reports EngineStats).
+/// Deterministic for a fixed call sequence, whatever the worker count.
 struct EvaluatorStats {
-  std::uint64_t evaluations = 0;  ///< evaluate() calls completed
+  std::uint64_t evaluations = 0;  ///< variants scored
   std::uint64_t memo_hits = 0;    ///< profile sets served from the memo
-  std::uint64_t memo_misses = 0;  ///< profile sets computed (once per
-                                  ///< distinct memory-model digest)
+  std::uint64_t memo_misses = 0;  ///< profile sets computed (exactly once
+                                  ///< per distinct memory-model digest)
 };
 
 class VariantEvaluator {
@@ -95,9 +106,17 @@ class VariantEvaluator {
   VariantEvaluator(arch::CpuSpec base, const Config& cfg,
                    StudyEngine::KernelFactory factory = nullptr);
 
-  /// Score one variant against the measured base. `variant.cpu` must be
-  /// derived from this evaluator's base machine (arch::derive_variant);
-  /// the base itself is the empty spec. Thread-safe.
+  /// Score `variants` against the measured base, result i for variant i.
+  /// Every `variant.cpu` must be derived from this evaluator's base
+  /// machine (arch::derive_variant); the base itself is the empty spec.
+  /// The batch's new hierarchy replays run on `ctx`'s workers (the
+  /// calling thread alone when null). Thread-safe: concurrent calls run
+  /// one batch at a time.
+  [[nodiscard]] std::vector<VariantScore> evaluate_batch(
+      const std::vector<arch::MachineVariant>& variants,
+      ExecutionContext* ctx = nullptr) const;
+
+  /// A batch of one, on the calling thread.
   [[nodiscard]] VariantScore evaluate(const arch::MachineVariant& variant) const;
 
   [[nodiscard]] const arch::CpuSpec& base() const { return base_; }
@@ -107,10 +126,9 @@ class VariantEvaluator {
   [[nodiscard]] const EngineStats& measurement_stats() const {
     return measurement_stats_;
   }
-  /// Scoring-side counters. Totals are deterministic for a fixed call
-  /// sequence; hit/miss split may shift under concurrent evaluate()
-  /// racing on a fresh digest (both compute, first insert wins) — never
-  /// the scores.
+  /// Scoring-side counters: memo_misses is the number of distinct new
+  /// memory-model digests scored so far, memo_hits + memo_misses ==
+  /// evaluations, for every worker count.
   [[nodiscard]] EvaluatorStats stats() const;
   /// The shared hierarchy-replay cache's counters (measurement + scoring).
   [[nodiscard]] memsim::SimCache::Stats sim_stats() const {
@@ -118,7 +136,7 @@ class VariantEvaluator {
   }
 
  private:
-  /// Everything evaluate() needs per kernel, captured once.
+  /// Everything scoring needs per kernel, captured once.
   struct KernelBase {
     kernels::KernelInfo info;
     model::WorkloadMeasurement meas;
@@ -126,8 +144,9 @@ class VariantEvaluator {
   };
   using ProfileSet = std::vector<model::MemoryProfile>;  // kernel order
 
-  [[nodiscard]] std::shared_ptr<const ProfileSet> profiles_for(
-      const arch::CpuSpec& cpu) const;
+  /// Model arithmetic only: one variant against its memory profiles.
+  [[nodiscard]] VariantScore score_against(
+      const arch::MachineVariant& variant, const ProfileSet& profiles) const;
 
   arch::CpuSpec base_;
   std::uint64_t trace_refs_ = model::kDefaultTraceRefs;
@@ -135,9 +154,8 @@ class VariantEvaluator {
   std::shared_ptr<memsim::SimCache> sim_cache_;
   EngineStats measurement_stats_;
 
-  mutable std::mutex mu_;  // guards memo_ and stats_
-  mutable std::unordered_map<std::string, std::shared_ptr<const ProfileSet>>
-      memo_;
+  mutable std::mutex mu_;  // held for a whole batch; guards memo_, stats_
+  mutable std::unordered_map<std::string, ProfileSet> memo_;  // by digest
   mutable EvaluatorStats stats_;
 };
 

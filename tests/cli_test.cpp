@@ -321,6 +321,14 @@ TEST(Cli, ExploreGoldenUsesSnapshotConfig) {
   EXPECT_NE(r.out.find("KNL+mcdram-cap=2"), std::string::npos);
 }
 
+TEST(Cli, ParetoGoldenUsesSnapshotConfig) {
+  // The preset overrides the search options it fixes.
+  const auto r = run({"pareto", "--golden", "--base", "BDW", "--rounds", "0"});
+  EXPECT_EQ(r.code, 0) << r.err;
+  EXPECT_NE(r.err.find("base KNL"), std::string::npos);
+  EXPECT_NE(r.err.find("3 round(s)"), std::string::npos);
+}
+
 TEST(Cli, ExploreRejectsBadOptions) {
   EXPECT_EQ(run({"explore", "--base", "EPYC"}).code, 1);  // engine throws
   EXPECT_EQ(run({"explore", "--variants", "no-such"}).code, 1);

@@ -1,9 +1,12 @@
 // Tests for the what-if machine exploration: the ExploreEngine's
-// determinism and scoring, and the explore-results JSON round trip.
+// determinism (results and counters) and scoring, and the explore-results
+// JSON round trip.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "arch/machines.hpp"
 #include "arch/variant.hpp"
@@ -99,6 +102,43 @@ TEST(ExploreEngine, ByteIdenticalAcrossJobCounts) {
   EXPECT_EQ(serial, run_dump(4, 1));
   EXPECT_EQ(serial, run_dump(1, 2));
   EXPECT_EQ(serial, run_dump(8, 2));
+}
+
+TEST(ExploreEngine, CountersIdenticalAcrossJobCounts) {
+  // Geometry changes (new replays) next to bandwidth/TDP respins: the
+  // memo misses once per distinct new memory model, and neither memo
+  // nor SimCache counters depend on the worker count.
+  ExploreConfig cfg = small_config();
+  cfg.variants = {"drop-fp64-vec", "mcdram-bw=1.5", "tdp=0.85", "cores=0.9",
+                  "cores=0.9+tdp=0.9", "mcdram-cap=2"};
+  std::set<std::string> new_digests;
+  for (const auto& spec : cfg.variants) {
+    const auto digest = arch::memory_model_digest(
+        arch::derive_variant(arch::knl(), spec).cpu);
+    if (digest != arch::memory_model_digest(arch::knl())) {
+      new_digests.insert(digest);
+    }
+  }
+  auto run_at = [&](unsigned jobs) {
+    ExploreConfig c = cfg;
+    c.jobs = jobs;
+    ExploreEngine engine(c);
+    (void)engine.run();
+    return std::make_pair(engine.stats(), engine.evaluator_stats());
+  };
+  const auto [ref, ref_eval] = run_at(1);
+  EXPECT_EQ(ref_eval.evaluations, cfg.variants.size() + 1);  // + baseline
+  EXPECT_EQ(ref_eval.memo_misses, new_digests.size());
+  EXPECT_EQ(ref_eval.memo_hits + ref_eval.memo_misses, ref_eval.evaluations);
+  for (const unsigned jobs : {2u, 8u}) {
+    const auto [st, eval] = run_at(jobs);
+    EXPECT_EQ(eval.evaluations, ref_eval.evaluations) << "jobs=" << jobs;
+    EXPECT_EQ(eval.memo_hits, ref_eval.memo_hits) << "jobs=" << jobs;
+    EXPECT_EQ(eval.memo_misses, ref_eval.memo_misses) << "jobs=" << jobs;
+    EXPECT_EQ(st.machine_evals, ref.machine_evals) << "jobs=" << jobs;
+    EXPECT_EQ(st.sim_hits, ref.sim_hits) << "jobs=" << jobs;
+    EXPECT_EQ(st.sim_misses, ref.sim_misses) << "jobs=" << jobs;
+  }
 }
 
 TEST(ExploreEngine, SharesHierarchyReplaysAcrossVariants) {

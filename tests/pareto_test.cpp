@@ -1,18 +1,21 @@
 // Tests for the incremental design-space machinery: dominance and the
 // non-dominated filter, the ParetoEngine's archive/budget/determinism
-// invariants, VariantEvaluator-vs-ExploreEngine equality, the
+// invariants, VariantEvaluator-vs-ExploreEngine equality, counters that
+// do not depend on --jobs, the
 // geomean_ratio guard, and the pareto-results JSON round trip.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "arch/machines.hpp"
 #include "arch/variant.hpp"
+#include "common/execution_context.hpp"
 #include "io/explore_json.hpp"
 #include "io/pareto_json.hpp"
 #include "study/explore.hpp"
@@ -142,6 +145,34 @@ TEST(ParetoEngine, StatsAccountForTheCandidateStream) {
   EXPECT_GT(st.evaluator.memo_hits, 0u);
 }
 
+TEST(ParetoEngine, CountersIdenticalAcrossJobCounts) {
+  auto stats_at = [](unsigned jobs) {
+    ParetoConfig cfg = small_config();
+    cfg.jobs = jobs;
+    ParetoEngine engine(cfg);
+    (void)engine.run();
+    return engine.stats();
+  };
+  const ParetoStats ref = stats_at(1);
+  EXPECT_EQ(ref.evaluator.memo_hits + ref.evaluator.memo_misses,
+            ref.evaluator.evaluations);
+  for (const unsigned jobs : {2u, 8u}) {
+    const ParetoStats st = stats_at(jobs);
+    EXPECT_EQ(st.generated, ref.generated) << "jobs=" << jobs;
+    EXPECT_EQ(st.deduped, ref.deduped) << "jobs=" << jobs;
+    EXPECT_EQ(st.invalid, ref.invalid) << "jobs=" << jobs;
+    EXPECT_EQ(st.over_budget, ref.over_budget) << "jobs=" << jobs;
+    EXPECT_EQ(st.evaluated, ref.evaluated) << "jobs=" << jobs;
+    EXPECT_EQ(st.rounds, ref.rounds) << "jobs=" << jobs;
+    EXPECT_EQ(st.evaluator.evaluations, ref.evaluator.evaluations)
+        << "jobs=" << jobs;
+    EXPECT_EQ(st.evaluator.memo_hits, ref.evaluator.memo_hits)
+        << "jobs=" << jobs;
+    EXPECT_EQ(st.evaluator.memo_misses, ref.evaluator.memo_misses)
+        << "jobs=" << jobs;
+  }
+}
+
 TEST(ParetoEngine, RejectsDegenerateConfigs) {
   {
     ParetoConfig cfg = small_config();
@@ -213,6 +244,74 @@ TEST(VariantEvaluator, MemoizesProfilesByMemoryModel) {
   EXPECT_EQ(st.memo_misses, 1u);
   EXPECT_EQ(st.memo_hits, 3u);
   EXPECT_EQ(st.evaluations, 4u);
+}
+
+TEST(VariantEvaluator, BatchCountersAreIdenticalAcrossJobCounts) {
+  // Two rounds with repeats inside and across batches, bandwidth-only
+  // digests (new profiles, shared replays) and geometry changes (new
+  // replays). Scores, memo counters and SimCache counters must not
+  // depend on how many workers run the replays.
+  const arch::CpuSpec base = arch::knl();
+  const std::vector<std::vector<std::string>> rounds = {
+      {"", "tdp=0.85", "mcdram-bw=1.5", "cores=0.9", "mcdram-cap=2",
+       "cores=0.9+dram-bw=1.25", "mcdram-cap=2+tdp=0.9"},
+      {"mcdram-bw=1.5", "cores=1.25", "cores=0.9+halve-fp64",
+       "mcdram-cap=2+mcdram-bw=1.25", "cores=1.25+tdp=0.9"},
+  };
+  std::set<std::string> new_digests;
+  std::uint64_t variants = 0;
+  for (const auto& specs : rounds) {
+    for (const auto& spec : specs) {
+      const auto digest =
+          arch::memory_model_digest(arch::derive_variant(base, spec).cpu);
+      if (digest != arch::memory_model_digest(base)) {
+        new_digests.insert(digest);
+      }
+      ++variants;
+    }
+  }
+
+  VariantEvaluator::Config ec;
+  ec.kernels = {"HPL", "BABL2"};
+  ec.scale = 0.15;
+  ec.threads = 1;
+  ec.trace_refs = 60'000;
+  struct Run {
+    std::string scores;
+    EvaluatorStats stats;
+    memsim::SimCache::Stats sim;
+  };
+  auto run_at = [&](unsigned jobs) {
+    const VariantEvaluator evaluator(base, ec);
+    ExecutionContext ctx(jobs);
+    Run r;
+    for (const auto& specs : rounds) {
+      std::vector<arch::MachineVariant> batch;
+      for (const auto& spec : specs) {
+        batch.push_back(arch::derive_variant(base, spec));
+      }
+      for (const auto& s : evaluator.evaluate_batch(batch, &ctx)) {
+        r.scores += io::dump(io::to_json(s));
+      }
+    }
+    r.stats = evaluator.stats();
+    r.sim = evaluator.sim_stats();
+    return r;
+  };
+  const Run ref = run_at(1);
+  EXPECT_EQ(ref.stats.evaluations, variants);
+  EXPECT_EQ(ref.stats.memo_misses, new_digests.size());
+  EXPECT_EQ(ref.stats.memo_hits + ref.stats.memo_misses,
+            ref.stats.evaluations);
+  for (const unsigned jobs : {2u, 8u}) {
+    const Run r = run_at(jobs);
+    EXPECT_EQ(r.scores, ref.scores) << "jobs=" << jobs;
+    EXPECT_EQ(r.stats.evaluations, ref.stats.evaluations) << "jobs=" << jobs;
+    EXPECT_EQ(r.stats.memo_hits, ref.stats.memo_hits) << "jobs=" << jobs;
+    EXPECT_EQ(r.stats.memo_misses, ref.stats.memo_misses) << "jobs=" << jobs;
+    EXPECT_EQ(r.sim.hits, ref.sim.hits) << "jobs=" << jobs;
+    EXPECT_EQ(r.sim.misses, ref.sim.misses) << "jobs=" << jobs;
+  }
 }
 
 TEST(ParetoJson, RoundTripIsLossless) {
