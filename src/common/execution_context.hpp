@@ -1,11 +1,10 @@
 // Run-scoped execution state: a worker pool plus a context-local counter
-// sink, bundled so a kernel run owns everything mutable it touches. This
-// replaces the two pieces of process-global state the repo used to lean
-// on — ThreadPool::global() and the process-wide tally registry — which
-// is what lets independent kernel runs execute concurrently without
-// racing a shared job slot or cross-contaminating each other's assay
-// deltas (the paper's SDE/PCM instrumentation is likewise scoped to one
-// workload process per run, Sec. III-A).
+// sink, bundled so a kernel run owns everything mutable it touches. No
+// pool or tally is process-wide, which is what lets independent kernel
+// runs execute concurrently without racing a shared job slot or
+// cross-contaminating each other's assay deltas (the paper's SDE/PCM
+// instrumentation is likewise scoped to one workload process per run,
+// Sec. III-A).
 //
 // A context either owns its pool (the common case: one private pool per
 // kernel run) or leases a caller-provided one via shared_ptr. Leases
@@ -92,8 +91,8 @@ class ExecutionContext {
 
   /// Thread-scoped binding: while a Scope is alive, the calling thread's
   /// counting (counters::add_* / counted<T>) lands in this context's
-  /// sink slot 0 — the orchestrator slot — instead of the process-wide
-  /// fallback. Parallel regions bind their workers automatically; a
+  /// sink slot 0 — the orchestrator slot — instead of the unread scratch
+  /// tally. Parallel regions bind their workers automatically; a
   /// Scope covers the serial sections in between.
   class Scope {
    public:

@@ -11,10 +11,8 @@
 // loops).
 //
 // A recorder is bound to one CounterSink — normally the ExecutionContext
-// the kernel runs in — and snapshots that sink, not any process-global
-// sum, so concurrent runs in other contexts never leak into the delta.
-// A recorder constructed outside any context falls back to the
-// process-wide registry snapshot.
+// the kernel runs in — and snapshots only that sink, so concurrent runs
+// in other contexts never leak into the delta.
 #pragma once
 
 #include <stdexcept>
@@ -22,19 +20,14 @@
 
 #include "common/timer.hpp"
 #include "counters/op_tally.hpp"
-#include "counters/registry.hpp"
 #include "counters/sink.hpp"
 
 namespace fpr::counters {
 
 class AssayRecorder {
  public:
-  /// Bind to the calling thread's active sink (null outside a context:
-  /// snapshots then fall back to the process-wide registry).
-  AssayRecorder() : sink_(active_sink()) {}
-
-  /// Bind to an explicit sink (the context the kernel executes in).
-  explicit AssayRecorder(const CounterSink* sink) : sink_(sink) {}
+  /// Bind to `sink` (the context the kernel executes in).
+  explicit AssayRecorder(const CounterSink& sink) : sink_(&sink) {}
 
   /// Begin a measured interval. Must not already be measuring, and the
   /// sink must be quiescent: starting while the context has an in-flight
@@ -63,17 +56,15 @@ class AssayRecorder {
   [[nodiscard]] const OpTally& ops() const { return ops_; }
   [[nodiscard]] unsigned intervals() const { return intervals_; }
 
-  /// Forget everything and return to the initial state (rebinding to the
-  /// calling thread's active sink, as the default constructor does).
-  void reset() { *this = AssayRecorder{}; }
+  /// Forget every interval and return to the initial state, keeping
+  /// the bound sink.
+  void reset() { *this = AssayRecorder(*sink_); }
 
  private:
-  [[nodiscard]] OpTally snapshot_now() const {
-    return sink_ != nullptr ? sink_->snapshot() : global_snapshot();
-  }
+  [[nodiscard]] OpTally snapshot_now() const { return sink_->snapshot(); }
 
   void require_quiescent(const char* what) const {
-    if (sink_ != nullptr && !sink_->quiescent()) {
+    if (!sink_->quiescent()) {
       throw std::logic_error(
           std::string("assay ") + what +
           "() inside an in-flight parallel region: worker threads are "
@@ -81,7 +72,7 @@ class AssayRecorder {
     }
   }
 
-  const CounterSink* sink_ = nullptr;
+  const CounterSink* sink_;
   bool running_ = false;
   double seconds_ = 0.0;
   unsigned intervals_ = 0;

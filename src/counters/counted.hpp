@@ -3,7 +3,7 @@
 // calling thread's OpTally — the same observable SDE provides by counting
 // executed operations.
 //
-// Kernels in this repo count via the explicit registry helpers at loop
+// Kernels in this repo count via the explicit add_* helpers at loop
 // granularity (cheap, vectorizable); counted<T> exists as the *oracle*:
 // property tests run reduced-size kernels templated on counted<T> and
 // assert the two mechanisms agree, which validates the analytic counts.

@@ -1,11 +1,10 @@
 // Counting entry points for instrumented kernel code, routed through an
 // active-context pointer: while a thread executes inside an
 // ExecutionContext (bound via counters::ScopedCounting), every count
-// lands in that context's CounterSink slot — the primary path, giving
-// each kernel run its own isolated tallies. Threads outside any context
-// fall back to the legacy process-wide thread-local registry, which
-// remains for code (tests, ad-hoc oracles) that counts without a
-// context.
+// lands in that context's CounterSink slot, giving each kernel run its
+// own isolated tallies. Counting on a thread with no bound sink goes to
+// a thread-local scratch tally that nothing reads: a count only becomes
+// observable through a sink.
 #pragma once
 
 #include <cstdint>
@@ -14,39 +13,20 @@
 
 namespace fpr::counters {
 
-class CounterSink;
-
 namespace detail {
 // The calling thread's current routing: a context sink slot when bound,
-// null when counting into the process-wide fallback. Trivially
-// initialized so access compiles to a plain TLS load.
-inline thread_local OpTally* active_tally = nullptr;
-inline thread_local CounterSink* active_sink = nullptr;
+// null when counting into the scratch tally. Constant-initialized so
+// access compiles to a plain TLS load with no guard.
+inline constinit thread_local OpTally* active_tally = nullptr;
+inline constinit thread_local OpTally scratch_tally{};
 }  // namespace detail
 
-/// The calling thread's fallback tally in the process-wide registry.
-OpTally& local_tally();
-
-/// Sum of all per-thread fallback tallies ever registered in this
-/// process (including threads that have exited). Context-bound counting
-/// never lands here — snapshot the context's sink instead.
-OpTally global_snapshot();
-
-/// Reset every live thread's fallback tally and the retired-thread
-/// accumulator to zero. Only call while no instrumented code is running.
-void reset_all();
-
-/// The sink the calling thread currently counts into (null = fallback).
-[[nodiscard]] inline CounterSink* active_sink() {
-  return detail::active_sink;
-}
-
 /// The tally the calling thread currently accumulates into: its bound
-/// context slot, or the process-wide thread-local outside any context.
+/// context slot, or the unread scratch tally outside any context.
 /// Cheap; hot kernel loops should still hoist the reference out.
 inline OpTally& current_tally() {
   OpTally* t = detail::active_tally;
-  return t != nullptr ? *t : local_tally();
+  return t != nullptr ? *t : detail::scratch_tally;
 }
 
 // -- Inline counting helpers (the instrumentation API kernels use) -------

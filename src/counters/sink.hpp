@@ -1,5 +1,5 @@
-// Context-scoped counter sink: the run-local replacement for the
-// process-wide tally registry. An ExecutionContext owns one CounterSink
+// Context-scoped counter sink: where every observable count lands. An
+// ExecutionContext owns one CounterSink
 // with a padded tally slot per worker it can field; instrumented code
 // routed into the sink (via ScopedCounting) accumulates into its own
 // slot with no atomics on the hot path, and a snapshot sums the slots in
@@ -59,24 +59,19 @@ class CounterSink {
 
 /// RAII: route the calling thread's counting (add_fp64 & co, counted<T>)
 /// into `sink` slot `slot` for the current scope, restoring the previous
-/// binding — the thread-local fallback tally or an outer sink — on exit.
+/// binding — the unread scratch tally or an outer sink — on exit.
 class ScopedCounting {
  public:
   ScopedCounting(CounterSink& sink, unsigned slot)
-      : prev_tally_(detail::active_tally), prev_sink_(detail::active_sink) {
+      : prev_tally_(detail::active_tally) {
     detail::active_tally = &sink.slot(slot);
-    detail::active_sink = &sink;
   }
-  ~ScopedCounting() {
-    detail::active_tally = prev_tally_;
-    detail::active_sink = prev_sink_;
-  }
+  ~ScopedCounting() { detail::active_tally = prev_tally_; }
   ScopedCounting(const ScopedCounting&) = delete;
   ScopedCounting& operator=(const ScopedCounting&) = delete;
 
  private:
   OpTally* prev_tally_;
-  CounterSink* prev_sink_;
 };
 
 }  // namespace fpr::counters

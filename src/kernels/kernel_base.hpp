@@ -49,7 +49,7 @@ class KernelBase : public ProxyKernel {
   static counters::AssayRecorder assayed(ExecutionContext& ctx,
                                          Solver&& solver) {
     ExecutionContext::Scope bind(ctx);
-    counters::AssayRecorder rec(&ctx.counters());
+    counters::AssayRecorder rec(ctx.counters());
     {
       counters::ScopedAssay scope(rec);
       solver();

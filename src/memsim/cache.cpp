@@ -1,10 +1,8 @@
 #include "memsim/cache.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 
-#include "common/simd.hpp"
 #include "memsim/trace_gen.hpp"
 
 namespace fpr::memsim {
@@ -110,7 +108,6 @@ Cache::Cache(CacheConfig cfg) : cfg_(cfg) {
     set_div_ = MagicDiv(num_sets_);
   }
   order_mode_ = cfg_.associativity <= 16;
-  simd_ = simd::avx2_available();
   tags_.assign(cfg_.num_lines(), kInvalidTag);
   flags_.assign(cfg_.num_lines(), 0);
   if (order_mode_) {
@@ -118,25 +115,6 @@ Cache::Cache(CacheConfig cfg) : cfg_(cfg) {
     valid_count_.assign(num_sets_, 0);
   } else {
     stamps_.assign(cfg_.num_lines(), 0);
-  }
-}
-
-bool Cache::simd_supported() { return simd::avx2_available(); }
-
-void Cache::set_probe_mode(ProbeMode mode) {
-  switch (mode) {
-    case ProbeMode::kScalar:
-      simd_ = false;
-      return;
-    case ProbeMode::kSimd:
-      if (!simd::avx2_available()) {
-        throw std::runtime_error("AVX2 tag probes unsupported on this CPU");
-      }
-      simd_ = true;
-      return;
-    case ProbeMode::kAuto:
-      simd_ = simd::avx2_available();
-      return;
   }
 }
 
@@ -249,8 +227,6 @@ bool Cache::access_stamps(std::uint64_t set, std::uint64_t tag, bool write) {
 
 template <std::uint32_t A>
 std::size_t Cache::run_many(MemRef* refs, std::size_t n) {
-  static_assert(A % 4 == 0, "AVX2 probe consumes whole 4-way groups");
-  const bool use_simd = simd_;
   const std::uint32_t line_shift = line_shift_;
   const std::uint64_t num_sets = num_sets_;
   const std::uint32_t set_shift = set_shift_;
@@ -295,12 +271,8 @@ std::size_t Cache::run_many(MemRef* refs, std::size_t n) {
     }
 
     std::uint32_t hit = A;
-    if (use_simd) {
-      hit = simd::probe_tags_avx2(tags, A, tag);
-    } else {
-      for (std::uint32_t w = 0; w < A; ++w) {
-        if (tags[w] == tag) hit = w;
-      }
+    for (std::uint32_t w = 0; w < A; ++w) {
+      if (tags[w] == tag) hit = w;
     }
     if (hit != A) {
       all_order[set] = move_to_front<A>(order, find_rank<A>(order, hit), hit);
@@ -338,8 +310,6 @@ std::size_t Cache::run_many(MemRef* refs, std::size_t n) {
 
 template <std::uint32_t A>
 std::size_t Cache::run_single_set(MemRef* refs, std::size_t n) {
-  static_assert(A % 4 == 0, "AVX2 probe consumes whole 4-way groups");
-  const bool use_simd = simd_;
   const std::uint32_t line_shift = line_shift_;
   std::uint64_t hits = 0, misses = 0, writebacks = 0;
   // The entire cache state for one set: locals for the whole run.
@@ -367,12 +337,8 @@ std::size_t Cache::run_single_set(MemRef* refs, std::size_t n) {
     }
 
     std::uint32_t hit = A;
-    if (use_simd) {
-      hit = simd::probe_tags_avx2(tags, A, tag);
-    } else {
-      for (std::uint32_t w = 0; w < A; ++w) {
-        if (tags[w] == tag) hit = w;
-      }
+    for (std::uint32_t w = 0; w < A; ++w) {
+      if (tags[w] == tag) hit = w;
     }
     if (hit != A) {
       order = move_to_front<A>(order, find_rank<A>(order, hit), hit);
@@ -447,253 +413,6 @@ std::size_t Cache::access_many(MemRef* refs, std::size_t n) {
     if (!access(refs[i].addr, refs[i].write)) refs[out++] = refs[i];
   }
   return out;
-}
-
-/// `live[]` is shared between same-level walkers: a non-owner reads a
-/// ref's byte only to skip it (it re-checks the set range and skips
-/// either way), while the owning walker may be clearing it on a hit.
-/// The value a non-owner sees never changes the outcome, but a plain
-/// byte access would still be a data race by the memory model, so all
-/// partition-walk accesses go through relaxed atomics — a plain byte
-/// load/store on every mainstream target, so the skip-scan stays free.
-namespace {
-inline std::uint8_t live_load(std::uint8_t* live, std::size_t i) {
-  return std::atomic_ref<std::uint8_t>(live[i]).load(
-      std::memory_order_relaxed);
-}
-inline void live_clear(std::uint8_t* live, std::size_t i) {
-  std::atomic_ref<std::uint8_t>(live[i]).store(0, std::memory_order_relaxed);
-}
-}  // namespace
-
-/// Degenerate-geometry escape of the partition walk: access_cold's
-/// logic with caller-owned statistics. Returns true on hit.
-bool Cache::cold_partition(std::uint64_t set, std::uint64_t tag, bool write,
-                           CacheStats& stats) {
-  const std::uint32_t assoc = cfg_.associativity;
-  const std::size_t base = static_cast<std::size_t>(set) * assoc;
-  for (std::uint32_t w = 0; w < assoc; ++w) {
-    if ((flags_[base + w] & kValid) != 0 && tags_[base + w] == tag) {
-      order_[set] = promote_way(order_[set], w, assoc);
-      if (write) flags_[base + w] |= kDirty;
-      ++stats.hits;
-      return true;
-    }
-  }
-  std::uint64_t order = order_[set];
-  const std::uint32_t victim = select_victim(order, valid_count_[set], assoc);
-  order_[set] = order;
-  ++stats.misses;
-  std::uint8_t& vflags = flags_[base + victim];
-  if ((vflags & (kValid | kDirty)) == (kValid | kDirty)) ++stats.writebacks;
-  tags_[base + victim] = tag;
-  vflags = static_cast<std::uint8_t>(kValid | (write ? kDirty : 0));
-  return false;
-}
-
-template <std::uint32_t A>
-void Cache::run_partition(const MemRef* refs, std::size_t n,
-                          std::uint8_t* live, std::uint64_t set_begin,
-                          std::uint64_t set_end, CacheStats& stats) {
-  static_assert(A % 4 == 0, "AVX2 probe consumes whole 4-way groups");
-  const bool use_simd = simd_;
-  const std::uint32_t line_shift = line_shift_;
-  const std::uint64_t num_sets = num_sets_;
-  const std::uint32_t set_shift = set_shift_;
-  std::uint64_t hits = 0, misses = 0, writebacks = 0;
-  std::uint64_t* const all_tags = tags_.data();
-  std::uint8_t* const all_flags = flags_.data();
-  std::uint64_t* const all_order = order_.data();
-  std::uint8_t* const all_valid = valid_count_.data();
-
-  for (std::size_t i = 0; i < n; ++i) {
-    if (live_load(live, i) == 0) continue;
-    const std::uint64_t addr = refs[i].addr;
-    const std::uint64_t line = addr >> line_shift;
-    std::uint64_t set, tag;
-    if (set_shift != kNoShift) {
-      set = line & (num_sets - 1);
-      tag = line >> set_shift;
-    } else {
-      tag = set_div_.div(line);
-      set = line - tag * num_sets;
-    }
-    if (set < set_begin || set >= set_end) continue;
-    const bool write = refs[i].write;
-    if (tag == kInvalidTag) {
-      // Degenerate-geometry escape. No local-counter sync needed: the
-      // helper adds into the same caller-owned stats the locals flush
-      // into, and the additions commute.
-      if (cold_partition(set, tag, write, stats)) live_clear(live, i);
-      continue;
-    }
-
-    const std::size_t base = static_cast<std::size_t>(set) * A;
-    std::uint64_t* const tags = all_tags + base;
-    std::uint64_t order = all_order[set];
-
-    const auto mru = static_cast<std::uint32_t>(order >> (4 * (A - 1))) & 0xF;
-    if (tags[mru] == tag) {
-      if (write) all_flags[base + mru] |= kDirty;
-      ++hits;
-      live_clear(live, i);
-      continue;
-    }
-
-    std::uint32_t hit = A;
-    if (use_simd) {
-      hit = simd::probe_tags_avx2(tags, A, tag);
-    } else {
-      for (std::uint32_t w = 0; w < A; ++w) {
-        if (tags[w] == tag) hit = w;
-      }
-    }
-    if (hit != A) {
-      all_order[set] = move_to_front<A>(order, find_rank<A>(order, hit), hit);
-      if (write) all_flags[base + hit] |= kDirty;
-      ++hits;
-      live_clear(live, i);
-      continue;
-    }
-
-    std::uint32_t victim;
-    const std::uint8_t v = all_valid[set];
-    if (v < A) {
-      victim = A - 1 - v;  // last invalid way (prefix invariant)
-      all_valid[set] = static_cast<std::uint8_t>(v + 1);
-      order = move_to_front<A>(order, find_rank<A>(order, victim), victim);
-    } else {
-      victim = static_cast<std::uint32_t>(order & 0xF);
-      order =
-          (order >> 4) | (static_cast<std::uint64_t>(victim) << (4 * (A - 1)));
-    }
-    all_order[set] = order;
-
-    ++misses;
-    std::uint8_t& vflags = all_flags[base + victim];
-    if ((vflags & (kValid | kDirty)) == (kValid | kDirty)) ++writebacks;
-    tags[victim] = tag;
-    vflags = static_cast<std::uint8_t>(kValid | (write ? kDirty : 0));
-  }
-
-  stats.hits += hits;
-  stats.misses += misses;
-  stats.writebacks += writebacks;
-}
-
-/// Rolled-loop partition walk for order-mode associativities without a
-/// specialized template instance.
-void Cache::partition_order(const MemRef* refs, std::size_t n,
-                            std::uint8_t* live, std::uint64_t set_begin,
-                            std::uint64_t set_end, CacheStats& stats) {
-  const std::uint32_t assoc = cfg_.associativity;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (live_load(live, i) == 0) continue;
-    std::uint64_t set, tag;
-    split(refs[i].addr, set, tag);
-    if (set < set_begin || set >= set_end) continue;
-    const bool write = refs[i].write;
-    if (tag == kInvalidTag) {
-      if (cold_partition(set, tag, write, stats)) live_clear(live, i);
-      continue;
-    }
-    const std::size_t base = static_cast<std::size_t>(set) * assoc;
-    std::uint64_t* const tags = tags_.data() + base;
-    std::uint64_t order = order_[set];
-    std::uint32_t hit = assoc;
-    for (std::uint32_t w = 0; w < assoc; ++w) {
-      if (tags[w] == tag) hit = w;
-    }
-    if (hit != assoc) {
-      order_[set] = promote_way(order, hit, assoc);
-      if (write) flags_[base + hit] |= kDirty;
-      ++stats.hits;
-      live_clear(live, i);
-      continue;
-    }
-    const std::uint32_t victim =
-        select_victim(order, valid_count_[set], assoc);
-    order_[set] = order;
-    ++stats.misses;
-    std::uint8_t& vflags = flags_[base + victim];
-    if ((vflags & (kValid | kDirty)) == (kValid | kDirty)) ++stats.writebacks;
-    tags[victim] = tag;
-    vflags = static_cast<std::uint8_t>(kValid | (write ? kDirty : 0));
-  }
-}
-
-/// Stamp-LRU partition walk (associativity > 16). `stamp` is the
-/// caller's monotone counter: victim choice only compares stamps within
-/// one set, and every set is owned by exactly one walker, so per-worker
-/// counters preserve the scalar formulation's relative recency exactly.
-void Cache::partition_stamps(const MemRef* refs, std::size_t n,
-                             std::uint8_t* live, std::uint64_t set_begin,
-                             std::uint64_t set_end, CacheStats& stats,
-                             std::uint64_t& stamp) {
-  const std::uint32_t assoc = cfg_.associativity;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (live_load(live, i) == 0) continue;
-    std::uint64_t set, tag;
-    split(refs[i].addr, set, tag);
-    if (set < set_begin || set >= set_end) continue;
-    const bool write = refs[i].write;
-    const std::size_t base = static_cast<std::size_t>(set) * assoc;
-    ++stamp;
-    std::uint32_t victim = 0;
-    bool hit = false;
-    for (std::uint32_t w = 0; w < assoc; ++w) {
-      const std::uint8_t f = flags_[base + w];
-      if ((f & kValid) != 0 && tags_[base + w] == tag) {
-        stamps_[base + w] = stamp;
-        if (write) flags_[base + w] |= kDirty;
-        ++stats.hits;
-        live_clear(live, i);
-        hit = true;
-        break;
-      }
-      if ((f & kValid) == 0) {
-        victim = w;
-      } else if ((flags_[base + victim] & kValid) != 0 &&
-                 stamps_[base + w] < stamps_[base + victim]) {
-        victim = w;
-      }
-    }
-    if (hit) continue;
-    ++stats.misses;
-    std::uint8_t& vflags = flags_[base + victim];
-    if ((vflags & (kValid | kDirty)) == (kValid | kDirty)) ++stats.writebacks;
-    tags_[base + victim] = tag;
-    stamps_[base + victim] = stamp;
-    vflags = static_cast<std::uint8_t>(kValid | (write ? kDirty : 0));
-  }
-}
-
-void Cache::access_partition(const MemRef* refs, std::size_t n,
-                             std::uint8_t* live, std::uint64_t set_begin,
-                             std::uint64_t set_end, CacheStats& stats,
-                             std::uint64_t& stamp) {
-  if (n == 0 || set_begin >= set_end) return;
-  if (!order_mode_) {
-    partition_stamps(refs, n, live, set_begin, set_end, stats, stamp);
-    return;
-  }
-  switch (cfg_.associativity) {
-    case 4:
-      run_partition<4>(refs, n, live, set_begin, set_end, stats);
-      return;
-    case 8:
-      run_partition<8>(refs, n, live, set_begin, set_end, stats);
-      return;
-    case 12:
-      run_partition<12>(refs, n, live, set_begin, set_end, stats);
-      return;
-    case 16:
-      run_partition<16>(refs, n, live, set_begin, set_end, stats);
-      return;
-    default:
-      partition_order(refs, n, live, set_begin, set_end, stats);
-      return;
-  }
 }
 
 void Cache::clear() {

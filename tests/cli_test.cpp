@@ -483,24 +483,9 @@ TEST(Cli, MemsimRejectsBadOptions) {
   // Negative counts must be rejected, not wrapped by unsigned parsing.
   EXPECT_EQ(run({"memsim", "--refs", "-5"}).code, 2);
   EXPECT_EQ(run({"memsim", "--seed", "-1"}).code, 2);
-  EXPECT_EQ(run({"memsim", "--shard-jobs", "-1"}).code, 2);
   EXPECT_EQ(run({"memsim", "--scale-shift", "31"}).code, 2);
   EXPECT_EQ(run({"memsim", "--scale-shift", "-1"}).code, 2);
   EXPECT_EQ(run({"memsim", "stray"}).code, 2);
-}
-
-TEST(Cli, MemsimShardJobsIsByteIdenticalToSerial) {
-  // Sharding is a wall-time knob only: stdout must match the serial run
-  // byte for byte.
-  const auto serial =
-      run({"memsim", "--kernel", "BABL2", "--scale", "0.15", "--refs",
-           "20000"});
-  const auto sharded =
-      run({"memsim", "--kernel", "BABL2", "--scale", "0.15", "--refs",
-           "20000", "--shard-jobs", "2", "--threads", "3"});
-  ASSERT_EQ(serial.code, 0) << serial.err;
-  ASSERT_EQ(sharded.code, 0) << sharded.err;
-  EXPECT_EQ(serial.out, sharded.out);
 }
 
 // ---------------------------------------------------------------------
@@ -566,15 +551,15 @@ TEST(Cli, TraceReplayMatchesMemsimRowBitForBit) {
       << "trace: " << trace_rows << "memsim: " << memsim_knl;
 }
 
-TEST(Cli, TraceShardJobsIsByteIdenticalToSerial) {
+TEST(Cli, ShardJobsIsAnUnknownOption) {
+  const auto memsim = run({"memsim", "--shard-jobs", "2"});
+  EXPECT_EQ(memsim.code, 2);
+  EXPECT_NE(memsim.err.find("--shard-jobs"), std::string::npos);
   TempFile tmp("trace_shard");
-  record_kernel_trace(tmp.path(), "BABL2", arch::knl(), 15000, 8);
-  const auto serial = run({"trace", tmp.path(), "--warmup", "15000"});
-  const auto sharded = run({"trace", tmp.path(), "--warmup", "15000",
-                            "--shard-jobs", "2", "--threads", "3"});
-  ASSERT_EQ(serial.code, 0) << serial.err;
-  ASSERT_EQ(sharded.code, 0) << sharded.err;
-  EXPECT_EQ(serial.out, sharded.out);
+  record_kernel_trace(tmp.path(), "BABL2", arch::knl(), 1000, 8);
+  const auto trace = run({"trace", tmp.path(), "--shard-jobs", "2"});
+  EXPECT_EQ(trace.code, 2);
+  EXPECT_NE(trace.err.find("--shard-jobs"), std::string::npos);
 }
 
 TEST(Cli, TraceWritesProfileJson) {

@@ -127,7 +127,7 @@ TEST(ExecutionContext, ConcurrentAssaysMeasureExactDeltas) {
       ExecutionContext ctx(3);
       ExecutionContext::Scope scope(ctx);
       counters::add_fp64(999);  // pre-assay noise in the same sink
-      counters::AssayRecorder rec(&ctx.counters());
+      counters::AssayRecorder rec(ctx.counters());
       rec.start();
       ctx.parallel_for(64, [](std::size_t lo, std::size_t hi, unsigned) {
         counters::add_fp64(hi - lo);
@@ -170,7 +170,7 @@ TEST(ExecutionContext, ExceptionPropagationUnderContention) {
       EXPECT_STREQ(e.what(), "chunk failed");
     }
     // The region bookkeeping unwound: assays work again immediately.
-    counters::AssayRecorder rec(&ctx.counters());
+    counters::AssayRecorder rec(ctx.counters());
     rec.start();
     rec.stop();
   }

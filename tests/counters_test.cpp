@@ -1,5 +1,5 @@
-// Unit tests for the SDE-substitute: tallies, context sinks, the
-// fallback registry, counted<T>, assay regions.
+// Unit tests for the SDE-substitute: tallies, context sinks, unbound
+// scratch counting, counted<T>, assay regions.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -8,15 +8,17 @@
 #include "common/execution_context.hpp"
 #include "counters/assay.hpp"
 #include "counters/counted.hpp"
-#include "counters/registry.hpp"
 #include "counters/sink.hpp"
 
 namespace fpr::counters {
 namespace {
 
+// Every test counts on a thread bound to the fixture's sink, so what a
+// test counted is exactly sink_.snapshot().
 class CountersTest : public ::testing::Test {
  protected:
-  void SetUp() override { reset_all(); }
+  CounterSink sink_{1};
+  ScopedCounting bind_{sink_, 0};
 };
 
 TEST_F(CountersTest, TallyArithmetic) {
@@ -59,91 +61,61 @@ TEST_F(CountersTest, LocalTallyAccumulates) {
   add_branch(1);
   add_read_bytes(100);
   add_write_bytes(50);
-  const OpTally snap = global_snapshot();
-  EXPECT_GE(snap.fp64, 5u);
-  EXPECT_GE(snap.fp32, 3u);
-  EXPECT_GE(snap.int_ops, 2u);
-  EXPECT_GE(snap.branches, 1u);
-  EXPECT_GE(snap.bytes_read, 100u);
-  EXPECT_GE(snap.bytes_written, 50u);
-}
-
-TEST_F(CountersTest, SnapshotSumsAcrossThreads) {
-  reset_all();
-  const OpTally before = global_snapshot();
-  std::thread t1([] { add_fp64(100); });
-  std::thread t2([] { add_fp64(200); });
-  t1.join();
-  t2.join();
-  const OpTally after = global_snapshot();
-  EXPECT_EQ(after.fp64 - before.fp64, 300u);
-}
-
-TEST_F(CountersTest, RetiredThreadCountsPreserved) {
-  reset_all();
-  std::thread t([] { add_int(77); });
-  t.join();  // tally retired on thread exit
-  EXPECT_GE(global_snapshot().int_ops, 77u);
+  const OpTally snap = sink_.snapshot();
+  EXPECT_EQ(snap.fp64, 5u);
+  EXPECT_EQ(snap.fp32, 3u);
+  EXPECT_EQ(snap.int_ops, 2u);
+  EXPECT_EQ(snap.branches, 1u);
+  EXPECT_EQ(snap.bytes_read, 100u);
+  EXPECT_EQ(snap.bytes_written, 50u);
 }
 
 TEST_F(CountersTest, CountedDoubleCountsFp64) {
-  reset_all();
-  const OpTally before = global_snapshot();
   counted<double> a = 2.0, b = 3.0;
   const counted<double> c = a * b + a - b / a;
   EXPECT_DOUBLE_EQ(c.value(), 2.0 * 3.0 + 2.0 - 3.0 / 2.0);
-  const OpTally d = global_snapshot() - before;
+  const OpTally d = sink_.snapshot();
   EXPECT_EQ(d.fp64, 4u);  // *, +, -, /
   EXPECT_EQ(d.fp32, 0u);
 }
 
 TEST_F(CountersTest, CountedFloatCountsFp32) {
-  reset_all();
-  const OpTally before = global_snapshot();
   counted<float> a = 1.5f, b = 2.0f;
   (void)(a + b);
-  const OpTally d = global_snapshot() - before;
+  const OpTally d = sink_.snapshot();
   EXPECT_EQ(d.fp32, 1u);
   EXPECT_EQ(d.fp64, 0u);
 }
 
 TEST_F(CountersTest, CountedIntCountsInt) {
-  reset_all();
-  const OpTally before = global_snapshot();
   counted<int> a = 6, b = 7;
   (void)(a * b);
-  const OpTally d = global_snapshot() - before;
+  const OpTally d = sink_.snapshot();
   EXPECT_EQ(d.int_ops, 1u);
 }
 
 TEST_F(CountersTest, CountedFmaCountsTwo) {
-  reset_all();
-  const OpTally before = global_snapshot();
   const auto r = fma(counted<double>(2), counted<double>(3),
                      counted<double>(4));
   EXPECT_DOUBLE_EQ(r.value(), 10.0);
-  EXPECT_EQ((global_snapshot() - before).fp64, 2u);
+  EXPECT_EQ(sink_.snapshot().fp64, 2u);
 }
 
 TEST_F(CountersTest, CountedComparisonCountsBranch) {
-  reset_all();
-  const OpTally before = global_snapshot();
   counted<double> a = 1.0, b = 2.0;
   EXPECT_TRUE(a < b);
   EXPECT_FALSE(a > b);
   EXPECT_TRUE(a <= b);
   EXPECT_FALSE(a >= b);
   EXPECT_FALSE(a == b);
-  EXPECT_EQ((global_snapshot() - before).branches, 5u);
+  EXPECT_EQ(sink_.snapshot().branches, 5u);
 }
 
 TEST_F(CountersTest, CountedSqrtAbsNegate) {
-  reset_all();
-  const OpTally before = global_snapshot();
   EXPECT_DOUBLE_EQ(sqrt(counted<double>(9.0)).value(), 3.0);
   EXPECT_DOUBLE_EQ(abs(counted<double>(-2.0)).value(), 2.0);
   EXPECT_DOUBLE_EQ((-counted<double>(5.0)).value(), -5.0);
-  EXPECT_EQ((global_snapshot() - before).fp64, 3u);
+  EXPECT_EQ(sink_.snapshot().fp64, 3u);
 }
 
 TEST_F(CountersTest, RawExtraction) {
@@ -154,7 +126,7 @@ TEST_F(CountersTest, RawExtraction) {
 }
 
 TEST_F(CountersTest, AssayMeasuresDelta) {
-  AssayRecorder rec;
+  AssayRecorder rec(sink_);
   add_fp64(50);  // outside the region: must not count
   rec.start();
   add_fp64(7);
@@ -166,7 +138,7 @@ TEST_F(CountersTest, AssayMeasuresDelta) {
 }
 
 TEST_F(CountersTest, AssayAccumulatesIntervals) {
-  AssayRecorder rec;
+  AssayRecorder rec(sink_);
   rec.start();
   add_int(3);
   rec.stop();
@@ -178,7 +150,7 @@ TEST_F(CountersTest, AssayAccumulatesIntervals) {
 }
 
 TEST_F(CountersTest, AssayDoubleStartThrows) {
-  AssayRecorder rec;
+  AssayRecorder rec(sink_);
   rec.start();
   EXPECT_THROW(rec.start(), std::logic_error);
   rec.stop();
@@ -186,7 +158,7 @@ TEST_F(CountersTest, AssayDoubleStartThrows) {
 }
 
 TEST_F(CountersTest, ScopedAssayStopsOnException) {
-  AssayRecorder rec;
+  AssayRecorder rec(sink_);
   try {
     ScopedAssay scope(rec);
     add_fp64(11);
@@ -199,7 +171,7 @@ TEST_F(CountersTest, ScopedAssayStopsOnException) {
 
 TEST_F(CountersTest, AssayCapturesContextWorkerThreads) {
   ExecutionContext ctx(4);
-  AssayRecorder rec(&ctx.counters());
+  AssayRecorder rec(ctx.counters());
   rec.start();
   ctx.parallel_for(64, [](std::size_t lo, std::size_t hi, unsigned) {
     add_fp64(hi - lo);
@@ -214,7 +186,7 @@ TEST_F(CountersTest, AssayCapturesContextWorkerThreads) {
 // snapshot.
 TEST_F(CountersTest, AssayInsideParallelRegionThrows) {
   ExecutionContext ctx(2);
-  AssayRecorder rec(&ctx.counters());
+  AssayRecorder rec(ctx.counters());
   unsigned throws = 0;
   ctx.parallel_for(8, [&](std::size_t lo, std::size_t, unsigned) {
     if (lo != 0) return;  // probe once, from one worker
@@ -237,17 +209,16 @@ TEST_F(CountersTest, AssayInsideParallelRegionThrows) {
 
 TEST_F(CountersTest, ScopedCountingRoutesIntoSinkAndRestores) {
   CounterSink sink(2);
-  reset_all();
-  add_fp64(5);  // outside: fallback registry
+  add_fp64(5);  // outside: the fixture's (outer) sink
   {
     ScopedCounting bind(sink, 1);
     add_fp64(7);  // inside: sink slot 1
   }
-  add_fp64(11);  // restored: fallback again
+  add_fp64(11);  // restored: the outer sink again
   EXPECT_EQ(sink.slot(1).fp64, 7u);
   EXPECT_EQ(sink.slot(0).fp64, 0u);
   EXPECT_EQ(sink.snapshot().fp64, 7u);
-  EXPECT_EQ(global_snapshot().fp64, 16u);
+  EXPECT_EQ(sink_.snapshot().fp64, 16u);
   sink.reset();
   EXPECT_EQ(sink.snapshot(), OpTally{});
 }
@@ -270,12 +241,26 @@ TEST_F(CountersTest, ConcurrentSinksDoNotCrossContaminate) {
   EXPECT_EQ(b.snapshot().fp64, 0u);
 }
 
-TEST_F(CountersTest, ResetClearsEverything) {
-  add_fp64(5);
-  reset_all();
-  const OpTally t = global_snapshot();
-  EXPECT_EQ(t.fp64, 0u);
-  EXPECT_EQ(t.int_ops, 0u);
+// A thread with no bound context counts into its scratch tally, which
+// no sink ever sees; binding that thread later starts from zero.
+TEST_F(CountersTest, UnboundCountingLeavesSinksUnchanged) {
+  CounterSink later(1);
+  std::thread t([&] {
+    add_fp64(5);
+    add_int(3);
+    counted<double> a = 1.0;
+    (void)(a + a);
+    EXPECT_EQ(sink_.snapshot(), OpTally{});
+    EXPECT_EQ(later.snapshot(), OpTally{});
+    ScopedCounting bind(later, 0);
+    EXPECT_EQ(later.snapshot(), OpTally{});
+    add_fp64(2);
+    EXPECT_EQ(later.snapshot().fp64, 2u);
+    EXPECT_EQ(later.snapshot().int_ops, 0u);
+  });
+  t.join();
+  EXPECT_EQ(sink_.snapshot(), OpTally{});
+  EXPECT_EQ(later.snapshot(), (OpTally{.fp64 = 2}));
 }
 
 }  // namespace

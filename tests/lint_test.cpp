@@ -35,8 +35,7 @@ bool fired(const std::vector<Finding>& findings, const std::string& rule) {
 TEST(LintRules, CatalogueIsStableAndDescribed) {
   const auto names = fpr::lint::rule_names();
   const std::vector<std::string> expected = {
-      "global-thread-pool",   "nondeterministic-call",
-      "counters-without-context", "non-const-global",
+      "nondeterministic-call", "non-const-global",
       "naked-new",            "pragma-once",
       "layer-violation",      "include-cycle",
       "odr-header-def",       "shared-mutable-capture",
@@ -52,34 +51,6 @@ TEST(LintRules, CatalogueIsStableAndDescribed) {
 TEST(LintRules, UnknownEnabledRuleThrows) {
   EXPECT_THROW((void)lint_source("src/a.cpp", "int x;", {"bogus-rule"}),
                std::invalid_argument);
-}
-
-// -- global-thread-pool ----------------------------------------------------
-
-TEST(GlobalThreadPool, FiresOnGlobalPoolUse) {
-  const auto f = lint_source("src/study/engine.cpp",
-                             "void run() {\n"
-                             "  fpr::ThreadPool::global().parallel_for(1, b);\n"
-                             "}\n");
-  ASSERT_EQ(f.size(), 1u);
-  EXPECT_EQ(f[0].rule, "global-thread-pool");
-  EXPECT_EQ(f[0].line, 2);
-}
-
-TEST(GlobalThreadPool, ShimFilesAreExempt) {
-  const std::string text = "ThreadPool& ThreadPool::global() { return p; }\n";
-  EXPECT_FALSE(fired(lint_source("src/common/thread_pool.cpp", text),
-                     "global-thread-pool"));
-  EXPECT_TRUE(fired(lint_source("src/common/execution_context.cpp", text),
-                    "global-thread-pool"));
-}
-
-TEST(GlobalThreadPool, CommentAndStringMentionsDoNotFire) {
-  const auto f = lint_source(
-      "src/study/engine.cpp",
-      "// ThreadPool::global() is forbidden here\n"
-      "const char* kDoc = \"ThreadPool::global()\";\n");
-  EXPECT_FALSE(fired(f, "global-thread-pool"));
 }
 
 // -- nondeterministic-call -------------------------------------------------
@@ -124,35 +95,6 @@ TEST(NondeterministicCall, SeededHelpersAndTimeLikeNamesAreFine) {
       "double solve_time(int n);\n"
       "void f() { Xoshiro256 rng(seed); double t = solve_time(3); }\n");
   EXPECT_FALSE(fired(f, "nondeterministic-call"));
-}
-
-// -- counters-without-context ----------------------------------------------
-
-TEST(CountersWithoutContext, FiresOnLegacyRegistryAccess) {
-  const char* bad[] = {
-      "void f() { auto s = counters::global_snapshot(); }\n",
-      "void f() { counters::reset_all(); }\n",
-      "void f() { counters::local_tally().fp64 += 1; }\n",
-  };
-  for (const char* text : bad) {
-    EXPECT_TRUE(fired(lint_source("src/model/exec.cpp", text),
-                      "counters-without-context"))
-        << text;
-  }
-}
-
-TEST(CountersWithoutContext, CountersDirItselfIsExempt) {
-  EXPECT_FALSE(fired(
-      lint_source("src/counters/registry.cpp",
-                  "void reset_all() { } void f() { reset_all(); }\n"),
-      "counters-without-context"));
-}
-
-TEST(CountersWithoutContext, ContextScopedHelpersAreFine) {
-  const auto f = lint_source(
-      "src/kernels/hpl.cpp",
-      "void f() { counters::add_fp64(8); counters::add_read_bytes(64); }\n");
-  EXPECT_FALSE(fired(f, "counters-without-context"));
 }
 
 // -- non-const-global ------------------------------------------------------
@@ -211,7 +153,7 @@ TEST(NakedNew, FiresOnNewAndMallocInHotPaths) {
 
 TEST(NakedNew, ScopedToKernelsMemsimAndIo) {
   const std::string text = "void f() { int* p = new int; }\n";
-  EXPECT_FALSE(fired(lint_source("src/counters/registry.cpp", text),
+  EXPECT_FALSE(fired(lint_source("src/counters/sink.cpp", text),
                      "naked-new"));
   EXPECT_FALSE(fired(lint_source("src/cli/cli.cpp", text), "naked-new"));
   // src/io is hot-path territory since the trace codec: chunk buffers
@@ -260,17 +202,17 @@ TEST(Suppression, SameLineCommentSilencesOnlyThatRule) {
 TEST(Suppression, PreviousLineCommentSilencesNextLine) {
   const auto f = lint_source(
       "src/model/exec.cpp",
-      "// fpr-lint: allow(counters-without-context)\n"
-      "void f() { counters::reset_all(); }\n");
+      "// fpr-lint: allow(nondeterministic-call)\n"
+      "void f() { srand(1); }\n");
   EXPECT_TRUE(f.empty());
 }
 
 TEST(Suppression, DoesNotLeakPastTheNextLine) {
   const auto f = lint_source(
       "src/model/exec.cpp",
-      "// fpr-lint: allow(counters-without-context)\n"
-      "void ok() { counters::reset_all(); }\n"
-      "void bad() { counters::reset_all(); }\n");
+      "// fpr-lint: allow(nondeterministic-call)\n"
+      "void ok() { srand(1); }\n"
+      "void bad() { srand(2); }\n");
   ASSERT_EQ(f.size(), 1u);
   EXPECT_EQ(f[0].line, 3);
 }
@@ -287,14 +229,14 @@ TEST(Suppression, WrongRuleNameDoesNotSilence) {
 TEST(RuleFilter, EnabledSubsetRestrictsChecking) {
   const std::string text =
       "int mutable_state = 0;\n"
-      "void f() { counters::reset_all(); }\n";
+      "void f() { srand(1); }\n";
   const auto all = lint_source("src/model/x.cpp", text);
   EXPECT_TRUE(fired(all, "non-const-global"));
-  EXPECT_TRUE(fired(all, "counters-without-context"));
+  EXPECT_TRUE(fired(all, "nondeterministic-call"));
   const auto only =
-      lint_source("src/model/x.cpp", text, {"counters-without-context"});
+      lint_source("src/model/x.cpp", text, {"nondeterministic-call"});
   EXPECT_FALSE(fired(only, "non-const-global"));
-  EXPECT_TRUE(fired(only, "counters-without-context"));
+  EXPECT_TRUE(fired(only, "nondeterministic-call"));
 }
 
 // -- layer-violation ---------------------------------------------------------

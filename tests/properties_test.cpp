@@ -9,7 +9,7 @@
 
 #include "arch/machines.hpp"
 #include "counters/counted.hpp"
-#include "counters/registry.hpp"
+#include "counters/sink.hpp"
 #include "kernels/kernel.hpp"
 #include "memsim/cache.hpp"
 #include "memsim/hierarchy.hpp"
@@ -20,14 +20,22 @@ namespace fpr {
 namespace {
 
 using counters::counted;
-using counters::global_snapshot;
 using counters::OpTally;
-using counters::reset_all;
 
 // ---------------------------------------------------------------------
 // counted<T> oracle: run small templated kernels with counted types and
 // check the oracle count equals the analytic formula the instrumented
 // kernels use.
+
+/// Run `body` with this thread's counting bound to a fresh sink and
+/// return what it counted.
+template <typename F>
+OpTally count_ops(F&& body) {
+  counters::CounterSink sink(1);
+  counters::ScopedCounting bind(sink, 0);
+  body();
+  return sink.snapshot();
+}
 
 template <typename Real>
 Real triad(std::vector<Real>& a, const std::vector<Real>& b,
@@ -45,10 +53,8 @@ class TriadOracle : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(TriadOracle, CountMatchesAnalyticFormula) {
   const std::size_t n = GetParam();
   std::vector<counted<double>> a(n, 0.0), b(n, 1.0), c(n, 2.0);
-  reset_all();
-  const OpTally before = global_snapshot();
-  triad(a, b, c, counted<double>(0.4));
-  const OpTally delta = global_snapshot() - before;
+  const OpTally delta =
+      count_ops([&] { triad(a, b, c, counted<double>(0.4)); });
   // Analytic: 2 flops per element (triad) + 1 per element (sum).
   EXPECT_EQ(delta.fp64, 3 * n);
 }
@@ -68,10 +74,8 @@ class DotOracle : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(DotOracle, TwoFlopsPerElement) {
   const std::size_t n = GetParam();
   std::vector<counted<float>> u(n, 1.5f), v(n, 2.0f);
-  reset_all();
-  const OpTally before = global_snapshot();
-  const auto s = dot_oracle(u, v);
-  const OpTally delta = global_snapshot() - before;
+  counted<float> s;
+  const OpTally delta = count_ops([&] { s = dot_oracle(u, v); });
   EXPECT_EQ(delta.fp32, 2 * n);
   EXPECT_FLOAT_EQ(s.value(), 3.0f * static_cast<float>(n));
 }
@@ -106,10 +110,7 @@ TEST_P(GemmOracle, TwoMnkFlops) {
   const auto nn = static_cast<std::size_t>(n);
   std::vector<counted<double>> a(mm * kk, 1.0), b(kk * nn, 2.0),
       c(mm * nn);
-  reset_all();
-  const OpTally before = global_snapshot();
-  mini_gemm(a, b, c, mm, kk, nn);
-  const OpTally delta = global_snapshot() - before;
+  const OpTally delta = count_ops([&] { mini_gemm(a, b, c, mm, kk, nn); });
   EXPECT_EQ(delta.fp64, 2u * mm * kk * nn);
 }
 

@@ -25,17 +25,10 @@ struct RuleInfo {
 };
 
 constexpr RuleInfo kRules[] = {
-    {"global-thread-pool",
-     "ThreadPool::global() outside the compatibility shim; run on an "
-     "ExecutionContext-owned pool so kernel runs stay isolated"},
     {"nondeterministic-call",
      "wall-clock/system-entropy call in a determinism-sensitive path "
      "(src/{memsim,model,study,arch,io}); take seeds and timestamps as "
      "parameters (common/rng.hpp) so results replay bit-identically"},
-    {"counters-without-context",
-     "legacy process-wide counter registry access outside src/counters; "
-     "count through an ExecutionContext sink (counters::add_* inside a "
-     "bound region) so tallies stay run-scoped"},
     {"non-const-global",
      "mutable namespace-scope state in src/; scope it to a run "
      "(ExecutionContext) or make it const/constexpr"},
@@ -1064,13 +1057,6 @@ void file_passes(Analysis& a, std::vector<Finding>& out) {
   const std::string& rel = a.rel;
   const std::string& path = a.path;
 
-  if (starts_with(rel, "src/") && rel != "src/common/thread_pool.hpp" &&
-      rel != "src/common/thread_pool.cpp") {
-    static const std::regex re(R"(ThreadPool\s*::\s*global\b)");
-    scan_pattern(p, re, path, "global-thread-pool",
-                 rule_description("global-thread-pool").c_str(), out);
-  }
-
   if (starts_with(rel, "src/memsim/") || starts_with(rel, "src/model/") ||
       starts_with(rel, "src/study/") || starts_with(rel, "src/arch/") ||
       starts_with(rel, "src/io/")) {
@@ -1081,13 +1067,6 @@ void file_passes(Analysis& a, std::vector<Finding>& out) {
         R"(|\bWallTimer\b)");
     scan_pattern(p, re, path, "nondeterministic-call",
                  rule_description("nondeterministic-call").c_str(), out);
-  }
-
-  if (starts_with(rel, "src/") && !starts_with(rel, "src/counters/")) {
-    static const std::regex re(
-        R"(\b(?:global_snapshot|reset_all|local_tally)\s*\()");
-    scan_pattern(p, re, path, "counters-without-context",
-                 rule_description("counters-without-context").c_str(), out);
   }
 
   if (starts_with(rel, "src/kernels/") || starts_with(rel, "src/memsim/") ||
