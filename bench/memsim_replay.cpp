@@ -1,14 +1,14 @@
 // Memory-hierarchy replay throughput across the implementations of the
-// same simulation, over every pattern class of the paper's Table II
-// taxonomy plus a representative mixture:
+// same simulation, on every Table I machine and over every pattern class
+// of the paper's Table II taxonomy plus a representative mixture:
 //
 //  - baseline: a verbatim replica of the pre-batching implementation
 //    (array-of-struct ways, early-exit scan, hardware divide per set
 //    lookup) driven one reference at a time — the scalar baseline the
 //    speedup is quoted against;
-//  - scalar:   TraceGenerator::next + the new compact Cache, still one
-//    reference and one full level walk at a time (Hierarchy's oracle
-//    path, isolates the cache-layout share of the win);
+//  - scalar:   TraceGenerator::next + Cache::access (a batch of one),
+//    one reference and one full level walk at a time (Hierarchy's
+//    oracle path, isolates the cache-layout share of the win);
 //  - batched:  the production path — TraceGenerator::fill blocks and
 //    Cache::access_many level filtering (Hierarchy::replay);
 //  - file:     the same replay fed from an fpr-trace v1 file
@@ -25,7 +25,6 @@
 //
 //   ./build/memsim_replay [--refs N] [--scale-shift S] [--no-perf-gate]
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
@@ -63,12 +62,11 @@ class BaselineCache {
  public:
   explicit BaselineCache(const CacheConfig& cfg) : cfg_(cfg) {
     num_sets_ = cfg_.num_sets();
-    line_shift_ = static_cast<std::uint32_t>(std::countr_zero(cfg_.line_bytes));
     ways_.resize(cfg_.num_lines());
   }
 
   bool access(std::uint64_t addr, bool write) {
-    const std::uint64_t line = addr >> line_shift_;
+    const std::uint64_t line = addr / kLineBytes;
     const std::uint64_t set = line % num_sets_;
     const std::uint64_t tag = line / num_sets_;
     Way* base = &ways_[set * cfg_.associativity];
@@ -109,7 +107,6 @@ class BaselineCache {
   };
   CacheConfig cfg_;
   std::uint64_t num_sets_ = 0;
-  std::uint32_t line_shift_ = 0;
   std::uint64_t stamp_ = 0;
   std::vector<Way> ways_;
   CacheStats stats_;
@@ -303,121 +300,123 @@ int main(int argc, char** argv) {
 
   bench::header("Memory-hierarchy replay throughput (scalar/batched)",
                 "the Sec. III-A PCM-profiling stage");
-  const auto cpu = arch::knl();
-  std::cout << "machine: " << cpu.short_name << ", refs=" << refs
-            << " (+equal warmup), scale-shift=" << scale_shift << "\n\n";
-
-  // Level names for the per-stage table header (fixed machine).
-  std::vector<std::string> level_names;
-  {
-    Hierarchy probe(cpu, scale_shift);
-    for (std::size_t i = 0; i < probe.num_levels(); ++i) {
-      level_names.push_back(probe.level_name(i));
-    }
-  }
-
-  TextTable table({"Pattern", "Baseline[Mref/s]", "Scalar[Mref/s]",
-                   "Batched[Mref/s]", "File[Mref/s]", "Speedup",
-                   "Identical"});
-  std::vector<std::string> stage_cols = {"Pattern", "Gen[Mref/s]"};
-  for (const auto& n : level_names) stage_cols.push_back(n + "[Mref/s]");
-  TextTable stage_table(stage_cols);
 
   double baseline_total = 0.0, scalar_total = 0.0, batched_total = 0.0;
   bool all_identical = true;
-  for (const auto& w : workloads()) {
-    const AccessPatternSpec scaled = scale_spec(w.spec, scale_shift);
+  // Every Table I machine: KNL/KNM time the 8/16/8-way levels, BDW adds
+  // the 8-way L2 and the 20-way LLC.
+  for (const auto& cpu : arch::all_machines()) {
+    std::cout << "machine: " << cpu.short_name << ", refs=" << refs
+              << " (+equal warmup), scale-shift=" << scale_shift << "\n\n";
 
-    TraceGenerator g0(scaled, 0xfeed1234);
-    WallTimer t0;
-    const auto r0 = baseline_replay(cpu, scale_shift, g0, refs, refs);
-    const double baseline_s = t0.seconds();
-
-    Hierarchy hs(cpu, scale_shift);
-    TraceGenerator gs(scaled, 0xfeed1234);
-    WallTimer ts;
-    const auto rs = hs.replay_scalar(gs, refs, refs);
-    const double scalar_s = ts.seconds();
-
-    Hierarchy hb(cpu, scale_shift);
-    TraceGenerator gb(scaled, 0xfeed1234);
-    WallTimer tb;
-    const auto rb = hb.replay(gb, refs, refs);
-    const double batched_s = tb.seconds();
-
-    // Per-stage roofline over the production path.
-    Hierarchy hstage(cpu, scale_shift);
-    TraceGenerator gstage(scaled, 0xfeed1234);
-    StageTiming st;
-    const auto rstage = staged_replay(hstage, gstage, refs, refs, st);
-
-    // File-backed replay: record the identical reference stream to an
-    // fpr-trace file, then time FileTraceSource (decode + replay; the
-    // recording itself stays outside the timer).
-    const char* trace_path = "memsim_replay_bench.fpt";
+    std::vector<std::string> stage_cols = {"Pattern", "Gen[Mref/s]"};
     {
-      io::TraceWriter writer(trace_path);
-      TraceGenerator gw(scaled, 0xfeed1234);
-      std::vector<MemRef> block(4096);
-      for (std::uint64_t done = 0; done < 2 * refs;) {
-        const std::size_t n = static_cast<std::size_t>(
-            std::min<std::uint64_t>(block.size(), 2 * refs - done));
-        gw.fill(block.data(), n);
-        writer.append(block.data(), n);
-        done += n;
+      Hierarchy probe(cpu, scale_shift);
+      for (std::size_t i = 0; i < probe.num_levels(); ++i) {
+        stage_cols.push_back(probe.level_name(i) + "[Mref/s]");
       }
-      writer.finish();
     }
-    Hierarchy hf(cpu, scale_shift);
-    WallTimer tf;
-    HierarchyResult rf;
-    {
-      io::FileTraceSource fsrc(trace_path);
-      rf = hf.replay(fsrc, refs, refs);
-    }
-    const double file_s = tf.seconds();
-    std::remove(trace_path);
+    TextTable table({"Pattern", "Baseline[Mref/s]", "Scalar[Mref/s]",
+                     "Batched[Mref/s]", "File[Mref/s]", "Speedup",
+                     "Identical"});
+    TextTable stage_table(stage_cols);
 
-    const bool same = identical(r0, rb) && identical(rs, rb) &&
-                      identical(rstage, rb) && identical(rf, rb);
-    all_identical = all_identical && same;
-    baseline_total += baseline_s;
-    scalar_total += scalar_s;
-    batched_total += batched_s;
-    const double mref = static_cast<double>(2 * refs) / 1e6;  // warmup counts
-    table.row()
-        .cell(w.name)
-        .num(baseline_s > 0 ? mref / baseline_s : 0.0, 2)
-        .num(scalar_s > 0 ? mref / scalar_s : 0.0, 2)
-        .num(batched_s > 0 ? mref / batched_s : 0.0, 2)
-        .num(file_s > 0 ? mref / file_s : 0.0, 2)
-        .num(batched_s > 0 ? baseline_s / batched_s : 0.0, 2)
-        .cell(same ? "yes" : "NO")
-        .done();
+    for (const auto& w : workloads()) {
+      const AccessPatternSpec scaled = scale_spec(w.spec, scale_shift);
 
-    auto row = stage_table.row();
-    row.cell(w.name);
-    row.num(st.gen_s > 0
-                ? static_cast<double>(st.gen_refs) / 1e6 / st.gen_s
-                : 0.0,
-            2);
-    for (std::size_t i = 0; i < st.level_s.size(); ++i) {
-      row.num(st.level_s[i] > 0 ? static_cast<double>(st.level_refs[i]) /
-                                      1e6 / st.level_s[i]
-                                : 0.0,
+      TraceGenerator g0(scaled, 0xfeed1234);
+      WallTimer t0;
+      const auto r0 = baseline_replay(cpu, scale_shift, g0, refs, refs);
+      const double baseline_s = t0.seconds();
+
+      Hierarchy hs(cpu, scale_shift);
+      TraceGenerator gs(scaled, 0xfeed1234);
+      WallTimer ts;
+      const auto rs = hs.replay_scalar(gs, refs, refs);
+      const double scalar_s = ts.seconds();
+
+      Hierarchy hb(cpu, scale_shift);
+      TraceGenerator gb(scaled, 0xfeed1234);
+      WallTimer tb;
+      const auto rb = hb.replay(gb, refs, refs);
+      const double batched_s = tb.seconds();
+
+      // Per-stage roofline over the production path.
+      Hierarchy hstage(cpu, scale_shift);
+      TraceGenerator gstage(scaled, 0xfeed1234);
+      StageTiming st;
+      const auto rstage = staged_replay(hstage, gstage, refs, refs, st);
+
+      // File-backed replay: record the identical reference stream to an
+      // fpr-trace file, then time FileTraceSource (decode + replay; the
+      // recording itself stays outside the timer).
+      const char* trace_path = "memsim_replay_bench.fpt";
+      {
+        io::TraceWriter writer(trace_path);
+        TraceGenerator gw(scaled, 0xfeed1234);
+        std::vector<MemRef> block(4096);
+        for (std::uint64_t done = 0; done < 2 * refs;) {
+          const std::size_t n = static_cast<std::size_t>(
+              std::min<std::uint64_t>(block.size(), 2 * refs - done));
+          gw.fill(block.data(), n);
+          writer.append(block.data(), n);
+          done += n;
+        }
+        writer.finish();
+      }
+      Hierarchy hf(cpu, scale_shift);
+      WallTimer tf;
+      HierarchyResult rf;
+      {
+        io::FileTraceSource fsrc(trace_path);
+        rf = hf.replay(fsrc, refs, refs);
+      }
+      const double file_s = tf.seconds();
+      std::remove(trace_path);
+
+      const bool same = identical(r0, rb) && identical(rs, rb) &&
+                        identical(rstage, rb) && identical(rf, rb);
+      all_identical = all_identical && same;
+      baseline_total += baseline_s;
+      scalar_total += scalar_s;
+      batched_total += batched_s;
+      // Warmup references count toward throughput.
+      const double mref = static_cast<double>(2 * refs) / 1e6;
+      table.row()
+          .cell(w.name)
+          .num(baseline_s > 0 ? mref / baseline_s : 0.0, 2)
+          .num(scalar_s > 0 ? mref / scalar_s : 0.0, 2)
+          .num(batched_s > 0 ? mref / batched_s : 0.0, 2)
+          .num(file_s > 0 ? mref / file_s : 0.0, 2)
+          .num(batched_s > 0 ? baseline_s / batched_s : 0.0, 2)
+          .cell(same ? "yes" : "NO")
+          .done();
+
+      auto row = stage_table.row();
+      row.cell(w.name);
+      row.num(st.gen_s > 0
+                  ? static_cast<double>(st.gen_refs) / 1e6 / st.gen_s
+                  : 0.0,
               2);
+      for (std::size_t i = 0; i < st.level_s.size(); ++i) {
+        row.num(st.level_s[i] > 0 ? static_cast<double>(st.level_refs[i]) /
+                                        1e6 / st.level_s[i]
+                                  : 0.0,
+                2);
+      }
+      row.done();
     }
-    row.done();
+    table.print(std::cout);
+    std::cout << "\nper-stage roofline (production path; each level's refs "
+                 "are the previous level's misses):\n";
+    stage_table.print(std::cout);
+    std::cout << "\n";
   }
-  table.print(std::cout);
-  std::cout << "\nper-stage roofline (production path; each level's refs "
-               "are the previous level's misses):\n";
-  stage_table.print(std::cout);
 
   const double speedup =
       batched_total > 0 ? baseline_total / batched_total : 0.0;
   std::printf(
-      "\naggregate: baseline %.3f s, scalar %.3f s, batched %.3f s, "
+      "aggregate: baseline %.3f s, scalar %.3f s, batched %.3f s, "
       "speedup %.2fx (production vs baseline)\n",
       baseline_total, scalar_total, batched_total, speedup);
 

@@ -2,93 +2,14 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "memsim/trace_gen.hpp"
 
 namespace fpr::memsim {
 
-namespace {
-
-constexpr std::uint64_t kNibbleLow = 0x1111111111111111ull;
-
-/// Identity recency word for an empty set: way j at rank j (rank 0 =
-/// low nibble = LRU end, rank A-1 = MRU end).
-std::uint64_t identity_order(std::uint32_t assoc) {
-  std::uint64_t w = 0;
-  for (std::uint32_t j = 0; j < assoc; ++j) {
-    w |= static_cast<std::uint64_t>(j) << (4 * j);
-  }
-  return w;
-}
-
-/// Rank of `way` inside `order` (A nibbles). SWAR zero-nibble search:
-/// XOR against the way replicated per nibble, OR-reduce each nibble to
-/// its low bit, and the lowest clear nibble marks the match.
-template <std::uint32_t A>
-inline std::uint32_t find_rank(std::uint64_t order, std::uint32_t way) {
-  constexpr std::uint64_t mask =
-      A == 16 ? ~std::uint64_t{0} : (std::uint64_t{1} << (4 * A)) - 1;
-  std::uint64_t x = (order ^ (way * kNibbleLow)) | ~mask;
-  x |= x >> 2;
-  x |= x >> 1;
-  const std::uint64_t nonzero = x & kNibbleLow;  // 1 per non-matching nibble
-  return static_cast<std::uint32_t>(
-             std::countr_zero(~nonzero & kNibbleLow)) >>
-         2;
-}
-
-/// Move the way at `rank` to the MRU end, keeping all other ways in
-/// relative order. rank == A-1 (already MRU) must be handled by the
-/// caller or is a structural no-op via the early return.
-template <std::uint32_t A>
-inline std::uint64_t move_to_front(std::uint64_t order, std::uint32_t rank,
-                                   std::uint32_t way) {
-  if (rank == A - 1) return order;
-  const std::uint64_t low =
-      order & ((std::uint64_t{1} << (4 * rank)) - 1);
-  const std::uint64_t high = (order >> (4 * (rank + 1))) << (4 * rank);
-  return low | high | (static_cast<std::uint64_t>(way) << (4 * (A - 1)));
-}
-
-/// Runtime-associativity form of find_rank + move_to_front for the
-/// scalar paths (the templated block loops keep their compile-time
-/// versions): splice `way` to the MRU end of `order`.
-std::uint64_t promote_way(std::uint64_t order, std::uint32_t way,
-                          std::uint32_t assoc) {
-  std::uint32_t rank = 0;
-  for (std::uint32_t r = 0; r < assoc; ++r) {
-    if (((order >> (4 * r)) & 0xF) == way) rank = r;
-  }
-  if (rank == assoc - 1) return order;
-  const std::uint64_t low = order & ((std::uint64_t{1} << (4 * rank)) - 1);
-  const std::uint64_t high = (order >> (4 * (rank + 1))) << (4 * rank);
-  return low | high | (static_cast<std::uint64_t>(way) << (4 * (assoc - 1)));
-}
-
-/// Miss-path victim choice plus the matching order/valid-count update:
-/// the last invalid way while the set is filling (the scan-order rule
-/// of the stamp formulation), else the LRU rank.
-std::uint32_t select_victim(std::uint64_t& order, std::uint8_t& valid_count,
-                            std::uint32_t assoc) {
-  if (valid_count < assoc) {
-    const std::uint32_t victim = assoc - 1 - valid_count;
-    ++valid_count;
-    order = promote_way(order, victim, assoc);
-    return victim;
-  }
-  const auto victim = static_cast<std::uint32_t>(order & 0xF);
-  order = (order >> 4) |
-          (static_cast<std::uint64_t>(victim) << (4 * (assoc - 1)));
-  return victim;
-}
-
-}  // namespace
-
 void CacheConfig::validate() const {
-  if (line_bytes == 0 || !std::has_single_bit(line_bytes)) {
-    throw std::invalid_argument("cache line size must be a power of two");
-  }
-  if (size_bytes == 0 || size_bytes % line_bytes != 0) {
+  if (size_bytes == 0 || size_bytes % kLineBytes != 0) {
     throw std::invalid_argument("cache size must be a multiple of the line");
   }
   if (associativity == 0 || num_lines() % associativity != 0) {
@@ -101,278 +22,63 @@ void CacheConfig::validate() const {
 Cache::Cache(CacheConfig cfg) : cfg_(cfg) {
   cfg_.validate();
   num_sets_ = cfg_.num_sets();
-  line_shift_ = static_cast<std::uint32_t>(std::countr_zero(cfg_.line_bytes));
   if (std::has_single_bit(num_sets_)) {
     set_shift_ = static_cast<std::uint32_t>(std::countr_zero(num_sets_));
   } else {
     set_div_ = MagicDiv(num_sets_);
   }
-  order_mode_ = cfg_.associativity <= 16;
-  tags_.assign(cfg_.num_lines(), kInvalidTag);
-  flags_.assign(cfg_.num_lines(), 0);
-  if (order_mode_) {
-    order_.assign(num_sets_, identity_order(cfg_.associativity));
-    valid_count_.assign(num_sets_, 0);
-  } else {
-    stamps_.assign(cfg_.num_lines(), 0);
-  }
+  ways_.assign(cfg_.num_lines(), kEmpty);
 }
 
 bool Cache::access(std::uint64_t addr, bool write) {
-  std::uint64_t set, tag;
-  split(addr, set, tag);
-  if (!order_mode_) return access_stamps(set, tag, write);
-  if (tag == kInvalidTag) return access_cold(set, tag, write);
-  return access_order(set, tag, write);
-}
-
-/// Scalar lookup in packed-order mode; one reference, rolled loops.
-/// This is also the oracle the specialized block loops are verified
-/// against.
-bool Cache::access_order(std::uint64_t set, std::uint64_t tag, bool write) {
-  const std::uint32_t assoc = cfg_.associativity;
-  const std::size_t base = static_cast<std::size_t>(set) * assoc;
-  std::uint64_t* const tags = tags_.data() + base;
-  std::uint64_t order = order_[set];
-
-  // MRU-first probe: a repeat of the most recent way needs no reorder.
-  const auto mru =
-      static_cast<std::uint32_t>(order >> (4 * (assoc - 1))) & 0xF;
-  if (tags[mru] == tag) {
-    if (write) flags_[base + mru] |= kDirty;
-    ++stats_.hits;
-    return true;
-  }
-
-  std::uint32_t hit = assoc;
-  for (std::uint32_t w = 0; w < assoc; ++w) {
-    if (tags[w] == tag) hit = w;
-  }
-  if (hit != assoc) {
-    order_[set] = promote_way(order, hit, assoc);
-    if (write) flags_[base + hit] |= kDirty;
-    ++stats_.hits;
-    return true;
-  }
-
-  const std::uint32_t victim =
-      select_victim(order, valid_count_[set], assoc);
-  order_[set] = order;
-
-  ++stats_.misses;
-  std::uint8_t& vflags = flags_[base + victim];
-  if ((vflags & (kValid | kDirty)) == (kValid | kDirty)) ++stats_.writebacks;
-  tags[victim] = tag;
-  vflags = static_cast<std::uint8_t>(kValid | (write ? kDirty : 0));
-  return false;
-}
-
-/// Degenerate geometry (byte lines, one set) where a real tag can equal
-/// the invalid sentinel: identify hits through the valid flags instead
-/// of the sentinel. Cold by construction; correctness only.
-bool Cache::access_cold(std::uint64_t set, std::uint64_t tag, bool write) {
-  const std::uint32_t assoc = cfg_.associativity;
-  const std::size_t base = static_cast<std::size_t>(set) * assoc;
-  for (std::uint32_t w = 0; w < assoc; ++w) {
-    if ((flags_[base + w] & kValid) != 0 && tags_[base + w] == tag) {
-      order_[set] = promote_way(order_[set], w, assoc);
-      if (write) flags_[base + w] |= kDirty;
-      ++stats_.hits;
-      return true;
-    }
-  }
-  // Miss: the shared victim logic never reads tags, so it is safe here.
-  std::uint64_t order = order_[set];
-  const std::uint32_t victim =
-      select_victim(order, valid_count_[set], assoc);
-  order_[set] = order;
-  ++stats_.misses;
-  std::uint8_t& vflags = flags_[base + victim];
-  if ((vflags & (kValid | kDirty)) == (kValid | kDirty)) ++stats_.writebacks;
-  tags_[base + victim] = tag;
-  vflags = static_cast<std::uint8_t>(kValid | (write ? kDirty : 0));
-  return false;
-}
-
-/// Classic stamp-LRU path for associativity > 16 (no packed order
-/// word): the seed formulation on the compact layout.
-bool Cache::access_stamps(std::uint64_t set, std::uint64_t tag, bool write) {
-  const std::uint32_t assoc = cfg_.associativity;
-  const std::size_t base = static_cast<std::size_t>(set) * assoc;
-  ++stamp_;
-  std::uint32_t victim = 0;
-  for (std::uint32_t w = 0; w < assoc; ++w) {
-    const std::uint8_t f = flags_[base + w];
-    if ((f & kValid) != 0 && tags_[base + w] == tag) {
-      stamps_[base + w] = stamp_;
-      if (write) flags_[base + w] |= kDirty;
-      ++stats_.hits;
-      return true;
-    }
-    if ((f & kValid) == 0) {
-      victim = w;
-    } else if ((flags_[base + victim] & kValid) != 0 &&
-               stamps_[base + w] < stamps_[base + victim]) {
-      victim = w;
-    }
-  }
-  ++stats_.misses;
-  std::uint8_t& vflags = flags_[base + victim];
-  if ((vflags & (kValid | kDirty)) == (kValid | kDirty)) ++stats_.writebacks;
-  tags_[base + victim] = tag;
-  stamps_[base + victim] = stamp_;
-  vflags = static_cast<std::uint8_t>(kValid | (write ? kDirty : 0));
-  return false;
+  MemRef ref{.addr = addr, .write = write};
+  return access_many(&ref, 1) == 0;
 }
 
 template <std::uint32_t A>
-std::size_t Cache::run_many(MemRef* refs, std::size_t n) {
-  const std::uint32_t line_shift = line_shift_;
+std::size_t Cache::run(MemRef* refs, std::size_t n) {
+  // Members in locals: the compacting store to refs[] could otherwise
+  // alias them and force a reload per reference.
+  const std::uint32_t assoc = A != 0 ? A : cfg_.associativity;
   const std::uint64_t num_sets = num_sets_;
   const std::uint32_t set_shift = set_shift_;
+  const MagicDiv set_div = set_div_;
+  std::uint64_t* const ways = ways_.data();
   std::uint64_t hits = 0, misses = 0, writebacks = 0;
-  std::uint64_t* const all_tags = tags_.data();
-  std::uint8_t* const all_flags = flags_.data();
-  std::uint64_t* const all_order = order_.data();
-  std::uint8_t* const all_valid = valid_count_.data();
-
   std::size_t out = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t addr = refs[i].addr;
-    const bool write = refs[i].write;
-    const std::uint64_t line = addr >> line_shift;
+    const MemRef ref = refs[i];
+    const std::uint64_t line = ref.addr >> kLineShift;
     std::uint64_t set, tag;
     if (set_shift != kNoShift) {
       set = line & (num_sets - 1);
       tag = line >> set_shift;
     } else {
-      tag = set_div_.div(line);
+      tag = set_div.div(line);
       set = line - tag * num_sets;
     }
-    if (tag == kInvalidTag) {
-      // Degenerate-geometry escape: sync stats, take the checked path.
-      stats_.hits += hits;
-      stats_.misses += misses;
-      stats_.writebacks += writebacks;
-      hits = misses = writebacks = 0;
-      if (!access_cold(set, tag, write)) refs[out++] = refs[i];
-      continue;
+    std::uint64_t* const row = ways + set * assoc;
+    const std::uint64_t dirty = ref.write ? 1 : 0;
+
+    // Move-to-front in one pass: walk the row MRU-first, shifting each
+    // entry down one place, until the tag turns up at rank r (entries
+    // after r keep their place) or, on a miss, the whole row has shifted
+    // and `carry` holds the evicted LRU entry.
+    std::uint64_t carry = row[0];
+    std::uint32_t rank = 0;
+    while ((carry >> 1) != tag && ++rank < assoc) {
+      std::swap(carry, row[rank]);
     }
-
-    const std::size_t base = static_cast<std::size_t>(set) * A;
-    std::uint64_t* const tags = all_tags + base;
-    std::uint64_t order = all_order[set];
-
-    const auto mru = static_cast<std::uint32_t>(order >> (4 * (A - 1))) & 0xF;
-    if (tags[mru] == tag) {
-      if (write) all_flags[base + mru] |= kDirty;
+    if (rank < assoc) {
+      row[0] = carry | dirty;
       ++hits;
-      continue;
-    }
-
-    std::uint32_t hit = A;
-    for (std::uint32_t w = 0; w < A; ++w) {
-      if (tags[w] == tag) hit = w;
-    }
-    if (hit != A) {
-      all_order[set] = move_to_front<A>(order, find_rank<A>(order, hit), hit);
-      if (write) all_flags[base + hit] |= kDirty;
-      ++hits;
-      continue;
-    }
-
-    std::uint32_t victim;
-    const std::uint8_t v = all_valid[set];
-    if (v < A) {
-      victim = A - 1 - v;  // last invalid way (prefix invariant)
-      all_valid[set] = static_cast<std::uint8_t>(v + 1);
-      order = move_to_front<A>(order, find_rank<A>(order, victim), victim);
     } else {
-      victim = static_cast<std::uint32_t>(order & 0xF);
-      order =
-          (order >> 4) | (static_cast<std::uint64_t>(victim) << (4 * (A - 1)));
+      writebacks += carry & 1;
+      row[0] = tag << 1 | dirty;
+      ++misses;
+      refs[out++] = ref;
     }
-    all_order[set] = order;
-
-    ++misses;
-    std::uint8_t& vflags = all_flags[base + victim];
-    if ((vflags & (kValid | kDirty)) == (kValid | kDirty)) ++writebacks;
-    tags[victim] = tag;
-    vflags = static_cast<std::uint8_t>(kValid | (write ? kDirty : 0));
-    refs[out++] = refs[i];
   }
-
-  stats_.hits += hits;
-  stats_.misses += misses;
-  stats_.writebacks += writebacks;
-  return out;
-}
-
-template <std::uint32_t A>
-std::size_t Cache::run_single_set(MemRef* refs, std::size_t n) {
-  const std::uint32_t line_shift = line_shift_;
-  std::uint64_t hits = 0, misses = 0, writebacks = 0;
-  // The entire cache state for one set: locals for the whole run.
-  std::uint64_t tags[A];
-  std::uint8_t flags[A];
-  for (std::uint32_t w = 0; w < A; ++w) {
-    tags[w] = tags_[w];
-    flags[w] = flags_[w];
-  }
-  std::uint64_t order = order_[0];
-  std::uint32_t valid = valid_count_[0];
-
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const bool write = refs[i].write;
-    // One set: tag == line, no split. line_shift > 0 here, so the tag
-    // can never reach the invalid sentinel.
-    const std::uint64_t tag = refs[i].addr >> line_shift;
-
-    const auto mru = static_cast<std::uint32_t>(order >> (4 * (A - 1))) & 0xF;
-    if (tags[mru] == tag) {
-      if (write) flags[mru] |= kDirty;
-      ++hits;
-      continue;
-    }
-
-    std::uint32_t hit = A;
-    for (std::uint32_t w = 0; w < A; ++w) {
-      if (tags[w] == tag) hit = w;
-    }
-    if (hit != A) {
-      order = move_to_front<A>(order, find_rank<A>(order, hit), hit);
-      if (write) flags[hit] |= kDirty;
-      ++hits;
-      continue;
-    }
-
-    std::uint32_t victim;
-    if (valid < A) {
-      victim = A - 1 - valid;
-      ++valid;
-      order = move_to_front<A>(order, find_rank<A>(order, victim), victim);
-    } else {
-      victim = static_cast<std::uint32_t>(order & 0xF);
-      order =
-          (order >> 4) | (static_cast<std::uint64_t>(victim) << (4 * (A - 1)));
-    }
-
-    ++misses;
-    if ((flags[victim] & (kValid | kDirty)) == (kValid | kDirty)) {
-      ++writebacks;
-    }
-    tags[victim] = tag;
-    flags[victim] = static_cast<std::uint8_t>(kValid | (write ? kDirty : 0));
-    refs[out++] = refs[i];
-  }
-
-  for (std::uint32_t w = 0; w < A; ++w) {
-    tags_[w] = tags[w];
-    flags_[w] = flags[w];
-  }
-  order_[0] = order;
-  valid_count_[0] = static_cast<std::uint8_t>(valid);
   stats_.hits += hits;
   stats_.misses += misses;
   stats_.writebacks += writebacks;
@@ -380,52 +86,20 @@ std::size_t Cache::run_single_set(MemRef* refs, std::size_t n) {
 }
 
 std::size_t Cache::access_many(MemRef* refs, std::size_t n) {
-  if (order_mode_) {
-    if (num_sets_ == 1 && line_shift_ > 0) {
-      switch (cfg_.associativity) {
-        case 4:
-          return run_single_set<4>(refs, n);
-        case 8:
-          return run_single_set<8>(refs, n);
-        case 12:
-          return run_single_set<12>(refs, n);
-        case 16:
-          return run_single_set<16>(refs, n);
-        default:
-          break;
-      }
-    }
-    switch (cfg_.associativity) {
-      case 4:
-        return run_many<4>(refs, n);
-      case 8:
-        return run_many<8>(refs, n);
-      case 12:
-        return run_many<12>(refs, n);
-      case 16:
-        return run_many<16>(refs, n);
-      default:
-        break;
-    }
+  switch (cfg_.associativity) {
+    case 8:
+      return run<8>(refs, n);
+    case 16:
+      return run<16>(refs, n);
+    case 20:
+      return run<20>(refs, n);
+    default:
+      return run<0>(refs, n);
   }
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!access(refs[i].addr, refs[i].write)) refs[out++] = refs[i];
-  }
-  return out;
 }
 
 void Cache::clear() {
-  std::fill(tags_.begin(), tags_.end(), kInvalidTag);
-  std::fill(flags_.begin(), flags_.end(), 0);
-  if (order_mode_) {
-    std::fill(order_.begin(), order_.end(),
-              identity_order(cfg_.associativity));
-    std::fill(valid_count_.begin(), valid_count_.end(), 0);
-  } else {
-    std::fill(stamps_.begin(), stamps_.end(), 0);
-    stamp_ = 0;
-  }
+  std::fill(ways_.begin(), ways_.end(), kEmpty);
   stats_ = CacheStats{};
 }
 

@@ -2,25 +2,27 @@
 // replacement. One instance models one level of one core's view of the
 // hierarchy; Hierarchy stacks them (memsim/hierarchy.hpp).
 //
-// The replay loop is the study pipeline's hot path, so the lookup is
-// engineered for throughput while staying bit-identical to the
-// straightforward scalar formulation (the tests and bench replay both
-// and compare statistics exactly):
+// Each set is a row of `associativity` entries kept in recency order —
+// the LRU stack of Mattson et al. ("Evaluation techniques for storage
+// hierarchies", IBM Sys. J. 1970): index 0 is the most recently used
+// line and the last index is the LRU victim, so the rank of a hit is
+// its stack distance within the set. An entry is `tag << 1 | dirty`;
+// an empty way holds kEmpty (all-ones tag, clean bit), which no real
+// tag reaches because 64-byte lines keep tags below 2^58. Lines only
+// ever enter at index 0, so empty ways stay at the tail of the row
+// until the set fills.
 //
-//  - ways live in compact per-set arrays (tags/flags), with invalid
-//    ways holding a sentinel tag so the hit scan is a pure compare;
+//  - a hit at rank r rotates entries [0, r] by one (a repeat of the
+//    MRU entry needs no reorder);
+//  - a miss counts a writeback if the last entry is dirty, then rotates
+//    the whole row and inserts the new line at index 0;
 //  - set indexing is shift/mask for power-of-two set counts and an
 //    exact multiply-shift reciprocal (common/magic_div.hpp) otherwise —
-//    never a hardware divide per reference;
-//  - recency is a packed order word per set (4-bit way ids, MRU in the
-//    top nibble) for associativity <= 16: the LRU victim is the bottom
-//    nibble (O(1) instead of a stamp scan per miss) and a repeat access
-//    to the most recent way is recognized with a single compare. Wider
-//    caches fall back to classic LRU stamps;
-//  - access_many() filters whole reference blocks (the miss stream the
-//    next level consumes) in specialized loops — compile-time
-//    associativity, and a register-resident fast path for the
-//    single-set geometry the scaled-down L1/L2 collapse to.
+//    never a hardware divide per reference.
+//
+// One block loop, run<A>(), serves access_many() and access(): A is a
+// Table I associativity (8, 16 or 20) fixed at compile time, or 0 to
+// read the associativity at run time for any other geometry.
 #pragma once
 
 #include <cstddef>
@@ -34,13 +36,16 @@ namespace fpr::memsim {
 
 struct MemRef;  // memsim/trace_gen.hpp
 
+/// Every simulated level uses 64-byte lines, as all Table I machines do.
+inline constexpr unsigned kLineShift = 6;
+inline constexpr std::uint64_t kLineBytes = std::uint64_t{1} << kLineShift;
+
 struct CacheConfig {
   std::uint64_t size_bytes = 0;
-  std::uint32_t line_bytes = 64;
   std::uint32_t associativity = 8;
 
   [[nodiscard]] std::uint64_t num_lines() const {
-    return size_bytes / line_bytes;
+    return size_bytes / kLineBytes;
   }
   [[nodiscard]] std::uint64_t num_sets() const {
     return num_lines() / associativity;
@@ -71,7 +76,7 @@ class Cache {
   /// Access refs[0..n): misses are compacted to the front of `refs` in
   /// order (they are the reference stream the next-lower level sees)
   /// and their count returned. State and stats evolve exactly as n
-  /// scalar access() calls would.
+  /// access() calls would.
   std::size_t access_many(MemRef* refs, std::size_t n);
 
   [[nodiscard]] const CacheStats& stats() const { return stats_; }
@@ -85,54 +90,18 @@ class Cache {
   void reset_stats() { stats_ = CacheStats{}; }
 
  private:
-  static constexpr std::uint8_t kValid = 1;
-  static constexpr std::uint8_t kDirty = 2;
-  /// Tag stored in invalid ways. Real tags collide with it only in the
-  /// degenerate byte-line single-set geometry (tag == full address);
-  /// access paths detect that case and take a flag-checked cold route.
-  static constexpr std::uint64_t kInvalidTag = ~std::uint64_t{0};
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0} << 1;
   static constexpr std::uint32_t kNoShift = ~0u;
 
-  /// Split an address into (set, tag).
-  void split(std::uint64_t addr, std::uint64_t& set,
-             std::uint64_t& tag) const {
-    const std::uint64_t line = addr >> line_shift_;
-    if (set_shift_ != kNoShift) {
-      set = line & (num_sets_ - 1);
-      tag = line >> set_shift_;
-    } else {
-      tag = set_div_.div(line);
-      set = line - tag * num_sets_;
-    }
-  }
-
-  bool access_order(std::uint64_t set, std::uint64_t tag, bool write);
-  bool access_cold(std::uint64_t set, std::uint64_t tag, bool write);
-  bool access_stamps(std::uint64_t set, std::uint64_t tag, bool write);
-
   template <std::uint32_t A>
-  std::size_t run_many(MemRef* refs, std::size_t n);
-  template <std::uint32_t A>
-  std::size_t run_single_set(MemRef* refs, std::size_t n);
+  std::size_t run(MemRef* refs, std::size_t n);
 
   CacheConfig cfg_;
   std::uint64_t num_sets_ = 0;
-  std::uint32_t line_shift_ = 0;
   std::uint32_t set_shift_ = kNoShift;  ///< valid when num_sets is pow2
   MagicDiv set_div_;                    ///< used when num_sets is not pow2
-  bool order_mode_ = false;  ///< packed-order LRU (associativity <= 16)
-  // Way state as parallel per-set arrays (index = set * assoc + way).
-  std::vector<std::uint64_t> tags_;
-  std::vector<std::uint8_t> flags_;  ///< kValid | kDirty
-  // order_mode_: per-set recency word + valid-way count. Invalid ways
-  // always form a prefix [0, assoc - valid_count) because insertion
-  // fills the highest-indexed invalid way first (the scan-order rule
-  // the stamp formulation implements), making "last invalid way" O(1).
-  std::vector<std::uint64_t> order_;
-  std::vector<std::uint8_t> valid_count_;
-  // !order_mode_ (associativity > 16): classic access-stamp LRU.
-  std::vector<std::uint64_t> stamps_;
-  std::uint64_t stamp_ = 0;
+  /// num_sets rows of `associativity` entries, each row MRU-first.
+  std::vector<std::uint64_t> ways_;
   CacheStats stats_;
 };
 

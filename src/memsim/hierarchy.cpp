@@ -15,10 +15,10 @@ CacheConfig make_cfg(std::uint64_t size, std::uint32_t assoc) {
   CacheConfig cfg;
   // Round capacity down to a whole number of sets (arbitrary set counts
   // are fine: Cache uses modulo indexing).
-  const std::uint64_t lines = std::max<std::uint64_t>(size / 64, assoc);
+  const std::uint64_t lines =
+      std::max<std::uint64_t>(size / kLineBytes, assoc);
   const std::uint64_t sets = std::max<std::uint64_t>(lines / assoc, 1);
-  cfg.size_bytes = sets * assoc * 64;
-  cfg.line_bytes = 64;
+  cfg.size_bytes = sets * assoc * kLineBytes;
   cfg.associativity = assoc;
   return cfg;
 }

@@ -47,12 +47,14 @@ struct HierarchyResult {
 class Hierarchy {
  public:
   /// Build a scaled single-core hierarchy for `cpu`. `scale_shift` halves
-  /// all capacities that many times (default 2^6 = 64x reduction; pass 0
-  /// for exact geometry in unit tests).
-  explicit Hierarchy(const arch::CpuSpec& cpu, unsigned scale_shift = 6);
+  /// all capacities that many times (the pipeline uses
+  /// model::kDefaultScaleShift = 8, a 256x reduction; pass 0 for exact
+  /// geometry in unit tests).
+  explicit Hierarchy(const arch::CpuSpec& cpu, unsigned scale_shift);
 
   /// Replay up to `refs` references from a source. Working-set
-  /// footprints behind the source must be pre-scaled by scaled_bytes().
+  /// footprints behind the source must be scaled by the same shift as
+  /// the hierarchy (scale_spec()).
   /// The first `warmup` references fill the caches without being
   /// counted, so the result reflects steady-state hit rates. A finite
   /// source (FileTraceSource) may run dry early; the result's `refs`
@@ -78,12 +80,6 @@ class Hierarchy {
   HierarchyResult replay_scalar(TraceGenerator& gen, std::uint64_t refs,
                                 std::uint64_t warmup = 0);
 
-  /// Scale a full-size footprint to the simulated geometry.
-  [[nodiscard]] std::uint64_t scaled_bytes(std::uint64_t full) const {
-    const std::uint64_t s = full >> scale_shift_;
-    return s > 0 ? s : 64;
-  }
-
   [[nodiscard]] unsigned scale_shift() const { return scale_shift_; }
   [[nodiscard]] std::size_t num_levels() const { return levels_.size(); }
   [[nodiscard]] const std::string& level_name(std::size_t i) const {
@@ -107,9 +103,8 @@ class Hierarchy {
 /// scaled hierarchy for `cpu`, auto-scaling every pattern footprint.
 HierarchyResult simulate_pattern(const arch::CpuSpec& cpu,
                                  const AccessPatternSpec& spec,
-                                 std::uint64_t refs = 1u << 20,
-                                 std::uint64_t seed = 0x0fbeef,
-                                 unsigned scale_shift = 6);
+                                 std::uint64_t refs, std::uint64_t seed,
+                                 unsigned scale_shift);
 
 /// Scale all footprint fields of a pattern spec by 2^-shift (helper used
 /// by simulate_pattern; exposed for tests).

@@ -128,10 +128,8 @@ class CacheSizeSweep : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(CacheSizeSweep, HitRateMonotonicInCapacity) {
   // Fixed working set, growing cache: hit rate must not decrease.
   const std::uint64_t size = GetParam();
-  memsim::Cache small({.size_bytes = size, .line_bytes = 64,
-                       .associativity = 4});
-  memsim::Cache big({.size_bytes = size * 4, .line_bytes = 64,
-                     .associativity = 4});
+  memsim::Cache small({.size_bytes = size, .associativity = 4});
+  memsim::Cache big({.size_bytes = size * 4, .associativity = 4});
   // Cyclic working set of 2x the small capacity.
   const std::uint64_t ws = size * 2;
   for (int pass = 0; pass < 6; ++pass) {
@@ -152,8 +150,7 @@ TEST_P(AssocSweep, FullAssocHoldsWorkingSetExactly) {
   // Working set == capacity with LRU: after the first pass, all hits.
   const std::uint32_t assoc = GetParam();
   const std::uint64_t lines = 64;
-  memsim::Cache c({.size_bytes = lines * 64, .line_bytes = 64,
-                   .associativity = assoc});
+  memsim::Cache c({.size_bytes = lines * 64, .associativity = assoc});
   for (int pass = 0; pass < 3; ++pass) {
     for (std::uint64_t l = 0; l < lines; ++l) c.access(l * 64, false);
   }
