@@ -1,6 +1,7 @@
 // Memory-hierarchy replay throughput across the implementations of the
 // same simulation, on every Table I machine and over every pattern class
-// of the paper's Table II taxonomy plus a representative mixture:
+// of the paper's Table II taxonomy plus two mixtures (a broad one and the
+// two-component stencil+gather shape):
 //
 //  - baseline: a verbatim replica of the pre-batching implementation
 //    (array-of-struct ways, early-exit scan, hardware divide per set
@@ -236,6 +237,20 @@ std::vector<Workload> workloads() {
                                          .node_bytes = 64},
                             0.5});
   w.push_back({"mixture", mix});
+  // The two-component shape the stencil kernels publish: a 27-point
+  // sweep at ~1/3 weight beside a second pattern (a stream for AMG/HPCG/
+  // MiFE/QCD, a gather for NICM). Unlike `mixture` above, this times the
+  // merge of the mixtures the study actually replays.
+  AccessPatternSpec stencil_gather;
+  stencil_gather.components.push_back(
+      {StencilPattern{.nx = 256, .ny = 256, .nz = 256, .elem_bytes = 8,
+                      .radius = 1, .full_box = true},
+       0.35});
+  stencil_gather.components.push_back(
+      {GatherPattern{.table_bytes = 512ull << 20, .elem_bytes = 8,
+                     .sequential_fraction = 0.1},
+       0.65});
+  w.push_back({"stencil+gather", stencil_gather});
   return w;
 }
 

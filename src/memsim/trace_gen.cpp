@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <numeric>
 #include <stdexcept>
 
@@ -18,6 +19,17 @@ std::uint64_t align_up(std::uint64_t v, std::uint64_t a) {
   return (v + a - 1) / a * a;
 }
 
+/// Component index for a selection uniform u. The first c with
+/// cdf[c] >= u, as lower_bound finds it, is the number of entries below
+/// u (the CDF does not decrease), capped at the last component; counting
+/// keeps the loop free of data-dependent branches.
+std::uint32_t pick(const std::vector<double>& cdf, double u) {
+  const auto last = static_cast<std::uint32_t>(cdf.size()) - 1;
+  std::uint32_t c = 0;
+  for (std::uint32_t j = 0; j < last; ++j) c += cdf[j] < u;
+  return c;
+}
+
 }  // namespace
 
 struct TraceGenerator::ComponentState {
@@ -32,24 +44,6 @@ struct TraceGenerator::ComponentState {
   // build_chase_order, which consumes exactly what the scalar build does).
   std::vector<std::array<std::int64_t, 3>> stencil_offsets;
   MagicDiv slot_div;  // gather/blocked slot modulo, hoisted per block
-  // Incremental cursor cache: gen_n's running offsets are pure functions
-  // of (pos, aux); deriving them costs divides, so they persist across
-  // calls keyed by the position they were left at. Mixtures dispatch
-  // short same-component runs, where re-deriving would dominate. A
-  // scalar gen() in between moves pos and simply invalidates the cache.
-  std::uint64_t cursor_pos = ~std::uint64_t{0};
-  std::uint64_t cur[5] = {0, 0, 0, 0, 0};
-
-  [[nodiscard]] bool cursor_valid() const { return cursor_pos == pos; }
-  void save_cursor(std::uint64_t a, std::uint64_t b = 0, std::uint64_t c = 0,
-                   std::uint64_t d = 0, std::uint64_t e = 0) {
-    cursor_pos = pos;
-    cur[0] = a;
-    cur[1] = b;
-    cur[2] = c;
-    cur[3] = d;
-    cur[4] = e;
-  }
 
   ComponentState(Pattern p, std::uint64_t b, std::uint64_t seed)
       : pattern(std::move(p)), base(b), rng(seed) {}
@@ -98,12 +92,13 @@ struct TraceGenerator::ComponentState {
   }
 
   /// Emit `n` consecutive references with a single variant dispatch.
-  /// Each pattern has a specialized block loop that derives the same
-  /// reference sequence incrementally (running offsets with one
-  /// conditional wrap instead of a div/mod per reference, hoisted
-  /// reciprocals for the RNG slot picks, precomputed stencil offset
-  /// tables). Bit-identity with n scalar gen() calls is the contract —
-  /// the memsim property tests replay both and compare exactly.
+  /// Each pattern has a specialized block loop that derives its running
+  /// offsets from (pos, aux) once per call with the scalar formulas, then
+  /// advances them with one conditional wrap instead of a div/mod per
+  /// reference (plus hoisted reciprocals for the RNG slot picks and
+  /// precomputed stencil offset tables). Bit-identity with n scalar gen()
+  /// calls is the contract — the memsim property tests replay both and
+  /// compare exactly.
   void generate_n(MemRef* out, std::size_t n) {
     std::visit([&](const auto& pat) { gen_n(pat, out, n); }, pattern);
   }
@@ -116,14 +111,8 @@ struct TraceGenerator::ComponentState {
     // Running (array, offset) cursor; the element offset advances by one
     // 8 B element per full array round, wrapping at len (a multiple of 8,
     // so the wrap lands exactly where (elem * 8) % len does).
-    std::uint64_t array, off;
-    if (cursor_valid()) {
-      array = cur[0];
-      off = cur[1];
-    } else {
-      array = pos % arrays;
-      off = ((pos / arrays) * 8) % len;
-    }
+    std::uint64_t array = pos % arrays;
+    std::uint64_t off = ((pos / arrays) * 8) % len;
     for (std::size_t i = 0; i < n; ++i) {
       out[i] = {base + array * arr_stride + off,
                 static_cast<int>(array) < p.writes_per_iter};
@@ -134,21 +123,18 @@ struct TraceGenerator::ComponentState {
       }
     }
     pos += n;
-    save_cursor(array, off);
   }
 
   void gen_n(const StridedPattern& p, MemRef* out, std::size_t n) {
     const std::uint64_t fp = std::max<std::uint64_t>(p.footprint_bytes, 512);
     const std::uint64_t step = p.stride_bytes % fp;
-    std::uint64_t off =
-        cursor_valid() ? cur[0] : (pos * p.stride_bytes) % fp;
+    std::uint64_t off = (pos * p.stride_bytes) % fp;
     for (std::size_t i = 0; i < n; ++i) {
       out[i] = {base + off, false};
       off += step;
       if (off >= fp) off -= fp;
     }
     pos += n;
-    save_cursor(off);
   }
 
   void gen_n(const StencilPattern& p, MemRef* out, std::size_t n) {
@@ -164,20 +150,11 @@ struct TraceGenerator::ComponentState {
     build_stencil_offsets(p, r, pts);
     // Cursor: (cell, k) with k in [0, pts] — k == pts is the destination
     // write; cell advances by one (wrapping at cells) after the write.
-    std::uint64_t cell, k, x, y, z;
-    if (cursor_valid()) {
-      cell = cur[0];
-      k = cur[1];
-      x = cur[2];
-      y = cur[3];
-      z = cur[4];
-    } else {
-      cell = (pos / (pts + 1)) % cells;
-      k = pos % (pts + 1);
-      x = cell % nx;
-      y = (cell / nx) % ny;
-      z = cell / (nx * ny);
-    }
+    std::uint64_t cell = (pos / (pts + 1)) % cells;
+    std::uint64_t k = pos % (pts + 1);
+    std::uint64_t x = cell % nx;
+    std::uint64_t y = (cell / nx) % ny;
+    std::uint64_t z = cell / (nx * ny);
     const std::uint64_t out_base = cells * p.elem_bytes;
     auto clampc = [](std::uint64_t v, std::int64_t d, std::uint64_t hi) {
       const auto s = static_cast<std::int64_t>(v) + d;
@@ -212,14 +189,13 @@ struct TraceGenerator::ComponentState {
       }
     }
     pos += n;
-    save_cursor(cell, k, x, y, z);
   }
 
   void gen_n(const GatherPattern& p, MemRef* out, std::size_t n) {
     const std::uint64_t table = std::max<std::uint64_t>(p.table_bytes, 512);
     const std::uint64_t slots = table / p.elem_bytes;
     if (slot_div.divisor() != slots) slot_div = MagicDiv(slots);
-    std::uint64_t off = cursor_valid() ? cur[0] : (pos * 8) % table;
+    std::uint64_t off = (pos * 8) % table;
     std::uint64_t seq = 0;
     for (std::size_t i = 0; i < n; ++i) {
       if (rng.uniform() < p.sequential_fraction) {
@@ -233,7 +209,6 @@ struct TraceGenerator::ComponentState {
       }
     }
     pos += seq;
-    save_cursor(off);
   }
 
   void gen_n(const ChasePattern& p, MemRef* out, std::size_t n) {
@@ -260,16 +235,9 @@ struct TraceGenerator::ComponentState {
     const auto phase = static_cast<std::uint64_t>(reuse) + 1;
     const std::uint64_t slots = tile / 8;
     if (slot_div.divisor() != slots) slot_div = MagicDiv(slots);
-    std::uint64_t step, stream_off, tile_base;
-    if (cursor_valid()) {
-      step = cur[0];
-      stream_off = cur[1];
-      tile_base = cur[2];
-    } else {
-      step = pos % phase;
-      stream_off = (aux * 8) % matrix;
-      tile_base = ((aux * 8) / tile) * tile % matrix;
-    }
+    std::uint64_t step = pos % phase;
+    std::uint64_t stream_off = (aux * 8) % matrix;
+    std::uint64_t tile_base = ((aux * 8) / tile) * tile % matrix;
     for (std::size_t i = 0; i < n; ++i) {
       if (step == 0) {
         out[i] = {base + stream_off, false};
@@ -285,7 +253,6 @@ struct TraceGenerator::ComponentState {
       if (++step == phase) step = 0;
     }
     pos += n;
-    save_cursor(step, stream_off, tile_base);
   }
 
   MemRef gen(const StreamPattern& p) {
@@ -429,10 +396,15 @@ TraceGenerator::TraceGenerator(const AccessPatternSpec& spec,
   }
   double total = 0.0;
   for (const auto& c : spec.components) {
-    if (c.weight <= 0.0) {
-      throw std::invalid_argument("pattern component weight must be > 0");
+    // Negated so NaN fails too: NaN <= 0 is false.
+    if (!(std::isfinite(c.weight) && c.weight > 0.0)) {
+      throw std::invalid_argument(
+          "pattern component weight must be finite and > 0");
     }
     total += c.weight;
+  }
+  if (!std::isfinite(total)) {
+    throw std::invalid_argument("pattern component weights overflow");
   }
   double run = 0.0;
   std::uint64_t idx = 0;
@@ -445,57 +417,54 @@ TraceGenerator::TraceGenerator(const AccessPatternSpec& spec,
     ++idx;
   }
   cumulative_.back() = 1.0;  // guard against rounding
+  cursor_.resize(comps_.size());
 }
 
 MemRef TraceGenerator::next() {
-  const double u = rng_.uniform();
-  const auto it =
-      std::lower_bound(cumulative_.begin(), cumulative_.end(), u);
-  const std::size_t i = static_cast<std::size_t>(
-      std::min<std::ptrdiff_t>(it - cumulative_.begin(),
-                               static_cast<std::ptrdiff_t>(comps_.size()) - 1));
-  return comps_[i]->generate();
+  // rng_ only ever chooses a component, so a single-component spec never
+  // draws it (in next() or fill()).
+  if (comps_.size() == 1) return comps_[0]->generate();
+  return comps_[pick(cumulative_, rng_.uniform())]->generate();
 }
 
 void TraceGenerator::fill(MemRef* out, std::size_t n) {
-  // Block size bounds the selection scratch and keeps it cache-resident.
-  constexpr std::size_t kBlock = 4096;
-
   if (comps_.size() == 1) {
-    // Single component: no mixture to sample, but next() still draws one
-    // selection uniform per reference, so burn the same draws to keep
-    // the generator state identical under any next()/fill() interleave.
-    for (std::size_t i = 0; i < n; ++i) rng_.next();
     comps_[0]->generate_n(out, n);
     return;
   }
 
+  // Block size bounds the selection and scratch buffers and keeps them
+  // cache-resident.
+  constexpr std::size_t kBlock = 4096;
   select_.resize(std::min(n, kBlock));
-  const std::uint32_t last =
-      static_cast<std::uint32_t>(comps_.size()) - 1;
-  std::size_t done = 0;
-  while (done < n) {
-    const std::size_t block = std::min(n - done, kBlock);
-    // Sample the mixture for the whole block first. A linear CDF scan
-    // replaces lower_bound: component counts are tiny and the first
-    // index with cumulative_[c] >= u is the same element lower_bound
-    // finds (cumulative_.back() == 1.0 > u caps the scan).
-    const double* cdf = cumulative_.data();
-    for (std::size_t k = 0; k < block; ++k) {
-      const double u = rng_.uniform();
-      std::uint32_t c = 0;
-      while (c < last && cdf[c] < u) ++c;
-      select_[k] = c;
+  scratch_.resize(select_.size());
+  const auto last = static_cast<std::uint32_t>(comps_.size()) - 1;
+  for (std::size_t done = 0; done < n;) {
+    const auto block = static_cast<std::uint32_t>(std::min(n - done, kBlock));
+    // 1. Sample the whole block's components first.
+    for (std::uint32_t k = 0; k < block; ++k) {
+      select_[k] = pick(cumulative_, rng_.uniform());
     }
-    // Emit per-component runs: one variant dispatch per run instead of
-    // one per reference.
-    std::size_t k = 0;
-    while (k < block) {
-      const std::uint32_t c = select_[k];
-      std::size_t end = k + 1;
-      while (end < block && select_[end] == c) ++end;
-      comps_[c]->generate_n(out + done + k, end - k);
-      k = end;
+    // 2-3. Count each component's refs (a vectorizable pass; the last
+    // component takes the rest), then call its generate_n once into its
+    // own segment of scratch_. A component owns its RNG and cursor, so
+    // its sequence does not depend on how the selection interleaves it
+    // with the others.
+    const auto sel_end = select_.begin() + block;
+    std::uint32_t at = 0;
+    for (std::uint32_t c = 0; c <= last; ++c) {
+      const auto count =
+          c < last ? static_cast<std::uint32_t>(
+                         std::count(select_.begin(), sel_end, c))
+                   : block - at;
+      cursor_[c] = at;
+      if (count != 0) comps_[c]->generate_n(scratch_.data() + at, count);
+      at += count;
+    }
+    // 4. Merge back into selection order, one read cursor per component.
+    MemRef* dst = out + done;
+    for (std::uint32_t k = 0; k < block; ++k) {
+      dst[k] = scratch_[cursor_[select_[k]]++];
     }
     done += block;
   }

@@ -102,12 +102,13 @@ class TraceGenerator {
   /// Next reference in the (infinite, cyclic) trace.
   MemRef next();
 
-  /// Emit the next `n` references of the same trace into `out`. Mixture
-  /// sampling happens for a whole block at once and the per-pattern
-  /// variant dispatch is hoisted to one visit per same-component run, so
-  /// this is the throughput path — but the emitted sequence (and every
-  /// RNG state) is bit-identical to calling next() n times, which the
-  /// property tests assert for all pattern classes.
+  /// Emit the next `n` references of the same trace into `out`; the
+  /// throughput path. A mixture is sampled a block (<= 4096 refs) at a
+  /// time: every reference's component is drawn first, then each
+  /// component generates its share with one variant dispatch, and an
+  /// index merge puts the refs back in selection order. The emitted
+  /// sequence (and every RNG state) is bit-identical to calling next()
+  /// n times, which the property tests assert for all pattern classes.
   void fill(MemRef* out, std::size_t n);
 
  private:
@@ -115,6 +116,8 @@ class TraceGenerator {
   std::vector<std::unique_ptr<ComponentState>> comps_;
   std::vector<double> cumulative_;  ///< CDF over components
   std::vector<std::uint32_t> select_;  ///< per-block component choices
+  std::vector<MemRef> scratch_;  ///< per-block refs, grouped by component
+  std::vector<std::uint32_t> cursor_;  ///< per-component read cursor
   Xoshiro256 rng_;
 };
 

@@ -1,6 +1,9 @@
 // Unit tests for the cache/memory simulator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -131,6 +134,20 @@ TEST(TraceGen, RejectsEmptyAndBadWeights) {
   AccessPatternSpec bad;
   bad.components.push_back({StreamPattern{}, -1.0});
   EXPECT_THROW(TraceGenerator(bad, 1), std::invalid_argument);
+  // NaN <= 0 and inf <= 0 are both false; neither may slip through.
+  for (const double w : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()}) {
+    AccessPatternSpec mix;
+    mix.components.push_back({StreamPattern{}, 1.0});
+    mix.components.push_back({GatherPattern{}, w});
+    EXPECT_THROW(TraceGenerator(mix, 1), std::invalid_argument) << w;
+  }
+  // Finite weights whose sum overflows would send every ref to the last
+  // component (w / inf == 0).
+  AccessPatternSpec huge;
+  huge.components.push_back({StreamPattern{}, 1.0e308});
+  huge.components.push_back({GatherPattern{}, 1.0e308});
+  EXPECT_THROW(TraceGenerator(huge, 1), std::invalid_argument);
 }
 
 TEST(TraceGen, PatternNames) {
@@ -428,6 +445,27 @@ std::vector<AccessPatternSpec> all_pattern_specs() {
   mix.components.push_back(
       {BlockedPattern{.matrix_bytes = 40'000, .tile_bytes = 2'048}, 1.5});
   specs.push_back(mix);
+  // The two-component shape the stencil kernels publish (a 27-point sweep
+  // at ~1/3 weight, as in AMG/HPCG), paired with a gather whose own RNG
+  // draws interleave with the selection draws.
+  AccessPatternSpec stencil_gather;
+  stencil_gather.components.push_back(
+      {StencilPattern{.nx = 15, .ny = 11, .nz = 8, .elem_bytes = 8,
+                      .radius = 1, .full_box = true},
+       0.35});
+  stencil_gather.components.push_back(
+      {GatherPattern{.table_bytes = 70'000, .elem_bytes = 8,
+                     .sequential_fraction = 0.1},
+       0.65});
+  specs.push_back(stencil_gather);
+  // 1000:1, so most short fill blocks give the rare component zero
+  // references.
+  AccessPatternSpec lopsided;
+  lopsided.components.push_back(
+      {StreamPattern{.bytes_per_array = 80'000, .arrays = 2}, 1000.0});
+  lopsided.components.push_back(
+      {BlockedPattern{.matrix_bytes = 50'000, .tile_bytes = 3'000}, 1.0});
+  specs.push_back(lopsided);
   return specs;
 }
 
@@ -451,10 +489,12 @@ TEST_P(BatchedIdentity, FillAndNextInterleaveCleanly) {
   const auto spec = all_pattern_specs()[GetParam()];
   TraceGenerator scalar(spec, 7);
   TraceGenerator mixed(spec, 7);
-  std::vector<MemRef> buf(1024);
   // Alternate odd-sized fills with scalar next() calls; the generator
-  // state must track the pure-scalar stream exactly.
-  const std::size_t chunks[] = {1, 7, 501, 3, 64, 997, 2, 130};
+  // state must track the pure-scalar stream exactly. 5000 spans a
+  // 4096-ref fill block boundary.
+  const std::size_t chunks[] = {1, 7, 501, 3, 64, 997, 2, 5000, 130};
+  std::vector<MemRef> buf(*std::max_element(std::begin(chunks),
+                                            std::end(chunks)));
   for (const std::size_t c : chunks) {
     mixed.fill(buf.data(), c);
     for (std::size_t i = 0; i < c; ++i) {
@@ -493,11 +533,11 @@ TEST_P(BatchedIdentity, ReplayMatchesScalarReplay) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPatterns, BatchedIdentity,
-                         ::testing::Range<std::size_t>(0, 8));
+                         ::testing::Range<std::size_t>(0, 10));
 
 TEST(BatchedIdentitySuite, CoversEverySpec) {
   // Guard the Range() above against spec-list growth.
-  EXPECT_EQ(all_pattern_specs().size(), 8u);
+  EXPECT_EQ(all_pattern_specs().size(), 10u);
 }
 
 /// Independent LRU oracle for Cache: the classic access-stamp
