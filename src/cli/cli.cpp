@@ -73,9 +73,11 @@ constexpr const char* kUsage =
     "  --csv                emit CSV instead of aligned tables\n"
     "\n"
     "study options:\n"
-    "  --jobs N             engine workers for the per-machine stages\n"
-    "                       (0 = all hardware, default 0; never changes\n"
-    "                       the results, only the wall time)\n"
+    "  --jobs N             engine workers for the per-machine stages,\n"
+    "                       joined by each --kernel-jobs thread once it\n"
+    "                       runs out of kernels (0 = all hardware,\n"
+    "                       default 0; never changes the results, only\n"
+    "                       the wall time)\n"
     "  --kernel-jobs K      concurrent instrumented kernel runs, each in\n"
     "                       its own execution context with a private\n"
     "                       --threads worker pool (0 = all hardware,\n"
@@ -617,7 +619,9 @@ int cmd_pareto(const RunOptions& opt, std::ostream& out, std::ostream& err) {
       << st.over_budget << " over budget, " << st.invalid << " invalid, "
       << st.rounds << " round(s); " << st.evaluator.memo_hits
       << " profile-memo hit(s), " << st.evaluator.memo_misses
-      << " miss(es)\n";
+      << " miss(es); " << st.sim.misses << " replay(s), "
+      << st.sim.stream_replays << " of them last-level only ("
+      << st.sim.stream_bytes << " stream byte(s))\n";
 
   if (!opt.out.empty()) {
     const auto doc = io::to_json(results);

@@ -23,10 +23,10 @@ memsim::HierarchyResult replay_trace_cached(
   const std::string k = memsim::SimCache::trace_key(cpu, info.digest,
                                                     resolved, warmup,
                                                     scale_shift);
-  if (auto found = cache->find(k)) return *found;
-  FileTraceSource src(path);
-  return *cache->insert(
-      k, memsim::simulate_trace(cpu, src, resolved, warmup, scale_shift));
+  return *cache->get_or_compute(k, [&] {
+    FileTraceSource src(path);
+    return memsim::simulate_trace(cpu, src, resolved, warmup, scale_shift);
+  });
 }
 
 }  // namespace fpr::io

@@ -68,24 +68,22 @@ double HierarchyResult::dram_fraction(void) const {
          static_cast<double>(refs);
 }
 
-Hierarchy::Hierarchy(const arch::CpuSpec& cpu, unsigned scale_shift)
-    : scale_shift_(scale_shift) {
+std::vector<LevelGeometry> hierarchy_levels(const arch::CpuSpec& cpu,
+                                            unsigned scale_shift) {
   // Single-core view: private L1 and L2 slice; shared LLC and (if present)
   // MCDRAM modelled as per-core shares of the aggregate capacity.
   const auto scale = [&](double bytes) {
     const auto b = static_cast<std::uint64_t>(bytes);
-    const std::uint64_t s = b >> scale_shift_;
+    const std::uint64_t s = b >> scale_shift;
     return std::max<std::uint64_t>(s, 4 * 64);
   };
 
-  levels_.emplace_back(
-      make_cfg(scale(cpu.l1_kib * 1024.0), cpu.l1_assoc));
-  names_.emplace_back("L1");
+  std::vector<LevelGeometry> levels;
+  levels.push_back({"L1", make_cfg(scale(cpu.l1_kib * 1024.0), cpu.l1_assoc)});
 
   if (cpu.l2_kib_per_core > 0) {
-    levels_.emplace_back(
-        make_cfg(scale(cpu.l2_kib_per_core * 1024.0), cpu.l2_assoc));
-    names_.emplace_back("L2");
+    levels.push_back(
+        {"L2", make_cfg(scale(cpu.l2_kib_per_core * 1024.0), cpu.l2_assoc)});
   }
 
   if (cpu.has_mcdram()) {
@@ -93,14 +91,45 @@ Hierarchy::Hierarchy(const arch::CpuSpec& cpu, unsigned scale_shift)
     // MCDRAM acts as a memory-side cache shared by all cores.
     const double mcdram_share =
         cpu.mcdram_gib * static_cast<double>(GiB) / cpu.cores;
-    levels_.emplace_back(make_cfg(scale(mcdram_share), 8));
-    names_.emplace_back("MCDRAM$");
+    levels.push_back({"MCDRAM$", make_cfg(scale(mcdram_share), 8)});
   } else {
     const double llc_share =
         cpu.llc_mib * static_cast<double>(MiB) / cpu.cores;
-    levels_.emplace_back(make_cfg(scale(llc_share), cpu.llc_assoc));
-    names_.emplace_back("LLC");
+    levels.push_back({"LLC", make_cfg(scale(llc_share), cpu.llc_assoc)});
   }
+  return levels;
+}
+
+Hierarchy::Hierarchy(const arch::CpuSpec& cpu, unsigned scale_shift)
+    : scale_shift_(scale_shift) {
+  for (auto& level : hierarchy_levels(cpu, scale_shift)) {
+    levels_.emplace_back(level.config);
+    names_.push_back(std::move(level.name));
+  }
+}
+
+void LastLevelStream::append(const MemRef* refs, std::size_t n) {
+  // A varint carries 7 bits a byte, so a 64-bit delta takes at most 10.
+  const std::size_t used = bytes_.size();
+  bytes_.resize(used + 10 * n);
+  std::uint8_t* out = bytes_.data() + used;
+  std::uint64_t last = last_;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t v =
+        (refs[i].addr >> kLineShift) << 1 | (refs[i].write ? 1 : 0);
+    const auto delta = static_cast<std::int64_t>(v - last);
+    std::uint64_t zz = static_cast<std::uint64_t>(delta) << 1 ^
+                       static_cast<std::uint64_t>(delta >> 63);
+    while (zz >= 0x80) {
+      *out++ = static_cast<std::uint8_t>(zz | 0x80);
+      zz >>= 7;
+    }
+    *out++ = static_cast<std::uint8_t>(zz);
+    last = v;
+  }
+  last_ = last;
+  bytes_.resize(static_cast<std::size_t>(out - bytes_.data()));
+  count_ += n;
 }
 
 namespace {
@@ -112,10 +141,41 @@ constexpr std::size_t kReplayBlock = 1024;
 
 }  // namespace
 
+void LastLevelStream::replay(Cache& cache) const {
+  std::vector<MemRef> block(kReplayBlock);
+  const std::uint8_t* in = bytes_.data();
+  std::uint64_t last = 0;
+  auto feed = [&](std::uint64_t count) {
+    while (count > 0) {
+      const std::size_t n = static_cast<std::size_t>(
+          std::min<std::uint64_t>(count, kReplayBlock));
+      for (std::size_t i = 0; i < n; ++i) {
+        std::uint64_t zz = 0;
+        for (unsigned shift = 0;; shift += 7) {
+          const std::uint8_t b = *in++;
+          zz |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+          if (b < 0x80) break;
+        }
+        last += (zz >> 1) ^ (0 - (zz & 1));
+        block[i] = {.addr = (last >> 1) << kLineShift,
+                    .write = (last & 1) != 0};
+      }
+      (void)cache.access_many(block.data(), n);
+      count -= n;
+    }
+  };
+  feed(warmup_);
+  cache.reset_stats();
+  feed(count_ - warmup_);
+}
+
 HierarchyResult Hierarchy::replay(TraceSource& src, std::uint64_t refs,
-                                  std::uint64_t warmup) {
+                                  std::uint64_t warmup,
+                                  LastLevelStream* record) {
   for (auto& c : levels_) c.clear();
   std::vector<MemRef> block(kReplayBlock);
+  Cache& last = levels_.back();
+  const std::size_t upper = levels_.size() - 1;
   // Per level L, the accesses it sees are level L-1's misses in order,
   // so filtering a whole block level by level replays exactly the same
   // per-cache access sequences as the scalar reference walk. A finite
@@ -129,9 +189,12 @@ HierarchyResult Hierarchy::replay(TraceSource& src, std::uint64_t refs,
       const std::size_t n = src.fill(block.data(), want);
       if (n == 0) break;
       std::size_t live = n;
-      for (auto& level : levels_) {
-        live = level.access_many(block.data(), live);
-        if (live == 0) break;
+      for (std::size_t l = 0; l < upper && live != 0; ++l) {
+        live = levels_[l].access_many(block.data(), live);
+      }
+      if (live != 0) {
+        if (record != nullptr) record->append(block.data(), live);
+        (void)last.access_many(block.data(), live);
       }
       count -= n;
       done += n;
@@ -140,7 +203,9 @@ HierarchyResult Hierarchy::replay(TraceSource& src, std::uint64_t refs,
   };
   run(warmup);
   for (auto& c : levels_) c.reset_stats();
+  if (record != nullptr) record->mark_warmup();
   const std::uint64_t measured = run(refs);
+  if (record != nullptr) record->shrink_to_fit();
   HierarchyResult r;
   r.refs = measured;
   for (std::size_t i = 0; i < levels_.size(); ++i) {
@@ -230,13 +295,14 @@ AccessPatternSpec scale_spec(const AccessPatternSpec& spec, unsigned shift) {
 HierarchyResult simulate_pattern(const arch::CpuSpec& cpu,
                                  const AccessPatternSpec& spec,
                                  std::uint64_t refs, std::uint64_t seed,
-                                 unsigned scale_shift) {
+                                 unsigned scale_shift,
+                                 LastLevelStream* record) {
   Hierarchy h(cpu, scale_shift);
   const AccessPatternSpec scaled = scale_spec(spec, scale_shift);
   // Warm the caches with an equal-length prefix so measured rates are
   // steady-state (cyclic generators otherwise bias toward cold misses).
   SyntheticTraceSource src(scaled, seed);
-  return h.replay(src, refs, refs);
+  return h.replay(src, refs, refs, record);
 }
 
 }  // namespace fpr::memsim

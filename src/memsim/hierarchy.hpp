@@ -7,6 +7,7 @@
 // blocked reuse are all scale-free in the capacity/footprint ratio).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -44,6 +45,46 @@ struct HierarchyResult {
   [[nodiscard]] double dram_fraction() const;
 };
 
+/// One level of a scaled hierarchy: its name and its geometry.
+struct LevelGeometry {
+  std::string name;
+  CacheConfig config;
+};
+
+/// The levels Hierarchy(cpu, scale_shift) builds, nearest the core first.
+/// Computing them allocates no cache state, so cache keys can use them.
+std::vector<LevelGeometry> hierarchy_levels(const arch::CpuSpec& cpu,
+                                            unsigned scale_shift);
+
+/// The reference stream one replay fed its hierarchy's last level, in
+/// order. Each reference is stored as `line << 1 | write`, encoded as the
+/// zigzag varint of its difference from the previous reference: about 2
+/// bytes a reference on the study's patterns. The last level's stats
+/// depend on nothing else, so replaying the stream through any
+/// last-level Cache gives that cache's stats for the whole replay,
+/// writebacks included.
+class LastLevelStream {
+ public:
+  /// Encode refs[0..n) as the next references of the stream.
+  void append(const MemRef* refs, std::size_t n);
+  /// The references appended so far form the warm-up prefix.
+  void mark_warmup() { warmup_ = count_; }
+  /// Release the growth slack once the stream is complete.
+  void shrink_to_fit() { bytes_.shrink_to_fit(); }
+
+  /// Feed the stream to `cache`: the warm-up prefix, then reset_stats(),
+  /// then the rest — what the recording replay did to its last level.
+  void replay(Cache& cache) const;
+
+  [[nodiscard]] std::size_t bytes() const { return bytes_.size(); }
+
+ private:
+  std::vector<std::uint8_t> bytes_;
+  std::uint64_t last_ = 0;  ///< previous `line << 1 | write`
+  std::uint64_t count_ = 0;
+  std::uint64_t warmup_ = 0;
+};
+
 class Hierarchy {
  public:
   /// Build a scaled single-core hierarchy for `cpu`. `scale_shift` halves
@@ -65,8 +106,12 @@ class Hierarchy {
   /// miss stream the next level consumes (Cache::access_many), hoisting
   /// source dispatch and the level loop out of the per-reference path.
   /// Results are bit-identical to replay_scalar().
+  ///
+  /// When `record` is non-null, the stream entering the last level is
+  /// appended to it as the replay walks, warm-up boundary included.
   HierarchyResult replay(TraceSource& src, std::uint64_t refs,
-                         std::uint64_t warmup = 0);
+                         std::uint64_t warmup = 0,
+                         LastLevelStream* record = nullptr);
 
   /// Synthetic convenience: wraps `gen` in a borrowing
   /// SyntheticTraceSource — same computation, same RNG state advance,
@@ -100,11 +145,14 @@ class Hierarchy {
 };
 
 /// Convenience: replay a pattern spec with full-size footprints through a
-/// scaled hierarchy for `cpu`, auto-scaling every pattern footprint.
+/// scaled hierarchy for `cpu`, auto-scaling every pattern footprint. An
+/// equal-length warm-up precedes the `refs` measured references; `record`
+/// as for Hierarchy::replay.
 HierarchyResult simulate_pattern(const arch::CpuSpec& cpu,
                                  const AccessPatternSpec& spec,
                                  std::uint64_t refs, std::uint64_t seed,
-                                 unsigned scale_shift);
+                                 unsigned scale_shift,
+                                 LastLevelStream* record = nullptr);
 
 /// Scale all footprint fields of a pattern spec by 2^-shift (helper used
 /// by simulate_pattern; exposed for tests).

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <type_traits>
+#include <vector>
 
 namespace fpr::memsim {
 
@@ -77,6 +78,29 @@ void append_geometry(std::string& k, const arch::CpuSpec& cpu) {
   append_f(k, cpu.mcdram_gib);
 }
 
+/// SimCache::upper_key over an already derived geometry and scaled
+/// spec. The scale shift needs no field of its own: it reaches the
+/// replay only through the levels and the scaled spec.
+std::string upper_key_of(const std::vector<LevelGeometry>& levels,
+                         const AccessPatternSpec& scaled, std::uint64_t refs,
+                         std::uint64_t seed) {
+  std::string k;
+  k.reserve(160);
+  for (std::size_t i = 0; i + 1 < levels.size(); ++i) {
+    append_u64(k, levels[i].config.size_bytes);
+    append_u64(k, levels[i].config.associativity);
+  }
+  k += '|';
+  append_u64(k, refs);
+  append_u64(k, seed);
+  k += '|';
+  for (const auto& c : scaled.components) {
+    append_pattern(k, c.pattern);
+    append_f(k, c.weight);
+  }
+  return k;
+}
+
 }  // namespace
 
 std::string SimCache::key(const arch::CpuSpec& cpu,
@@ -98,6 +122,14 @@ std::string SimCache::key(const arch::CpuSpec& cpu,
   return k;
 }
 
+std::string SimCache::upper_key(const arch::CpuSpec& cpu,
+                                const AccessPatternSpec& spec,
+                                std::uint64_t refs, std::uint64_t seed,
+                                unsigned scale_shift) {
+  return upper_key_of(hierarchy_levels(cpu, scale_shift),
+                      scale_spec(spec, scale_shift), refs, seed);
+}
+
 std::string SimCache::trace_key(const arch::CpuSpec& cpu,
                                 std::uint64_t digest, std::uint64_t refs,
                                 std::uint64_t warmup, unsigned scale_shift) {
@@ -115,22 +147,52 @@ std::string SimCache::trace_key(const arch::CpuSpec& cpu,
   return k;
 }
 
-std::shared_ptr<const HierarchyResult> SimCache::find(const std::string& key) {
-  std::lock_guard lock(mu_);
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    ++stats_.misses;
-    return nullptr;
+template <typename V, typename Compute>
+std::shared_ptr<const V> SimCache::single_flight(Entries<V>& entries,
+                                                 const std::string& key,
+                                                 const Compute& compute,
+                                                 std::uint64_t* hits,
+                                                 std::uint64_t* misses) {
+  std::promise<std::shared_ptr<const V>> promise;
+  std::unique_lock lock(mu_);
+  if (const auto it = entries.find(key); it != entries.end()) {
+    if (hits != nullptr) ++*hits;
+    const auto value = it->second;
+    lock.unlock();  // the owner takes the lock to publish or erase
+    return value.get();
   }
-  ++stats_.hits;
-  return it->second;
+  if (misses != nullptr) ++*misses;
+  entries.emplace(key, promise.get_future().share());
+  lock.unlock();
+  try {
+    auto value = std::make_shared<const V>(compute());
+    promise.set_value(value);
+    return value;
+  } catch (...) {
+    // Waiters see the exception; later callers compute afresh.
+    promise.set_exception(std::current_exception());
+    lock.lock();
+    entries.erase(key);
+    throw;
+  }
+}
+
+std::shared_ptr<const HierarchyResult> SimCache::get_or_compute(
+    const std::string& key, const std::function<HierarchyResult()>& compute) {
+  return single_flight(entries_, key, compute, &stats_.hits, &stats_.misses);
 }
 
 std::shared_ptr<const HierarchyResult> SimCache::insert(
     const std::string& key, HierarchyResult result) {
-  auto value = std::make_shared<const HierarchyResult>(std::move(result));
-  std::lock_guard lock(mu_);
-  return entries_.try_emplace(key, std::move(value)).first->second;
+  std::promise<std::shared_ptr<const HierarchyResult>> promise;
+  promise.set_value(std::make_shared<const HierarchyResult>(std::move(result)));
+  std::shared_future<std::shared_ptr<const HierarchyResult>> value;
+  {
+    std::lock_guard lock(mu_);
+    value = entries_.try_emplace(key, promise.get_future().share())
+                .first->second;
+  }
+  return value.get();
 }
 
 SimCache::Stats SimCache::stats() const {
@@ -151,12 +213,31 @@ HierarchyResult simulate_pattern_cached(SimCache* cache,
   if (cache == nullptr) {
     return simulate_pattern(cpu, spec, refs, seed, scale_shift);
   }
-  const std::string k = SimCache::key(cpu, spec, refs, seed, scale_shift);
-  if (auto found = cache->find(k)) return *found;
-  // Simulate outside the cache lock; a concurrent simulation of the same
-  // key computes the identical result, so either insert may win.
-  return *cache->insert(k,
-                        simulate_pattern(cpu, spec, refs, seed, scale_shift));
+  return *cache->get_or_compute(
+      SimCache::key(cpu, spec, refs, seed, scale_shift), [&] {
+        const auto levels = hierarchy_levels(cpu, scale_shift);
+        bool recorded = false;
+        const auto upper = cache->single_flight(
+            cache->uppers_,
+            upper_key_of(levels, scale_spec(spec, scale_shift), refs, seed),
+            [&] {
+              recorded = true;
+              SimCache::Upper u;
+              u.result = simulate_pattern(cpu, spec, refs, seed, scale_shift,
+                                          &u.stream);
+              std::lock_guard lock(cache->mu_);
+              cache->stats_.stream_bytes += u.stream.bytes();
+              return u;
+            },
+            &cache->stats_.stream_replays, nullptr);
+        if (recorded) return upper->result;
+        // Same stream, different last level: walk only that level.
+        Cache last(levels.back().config);
+        upper->stream.replay(last);
+        HierarchyResult r = upper->result;
+        r.levels.back() = {levels.back().name, last.stats()};
+        return r;
+      });
 }
 
 }  // namespace fpr::memsim

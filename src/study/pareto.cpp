@@ -251,6 +251,7 @@ ParetoResults ParetoEngine::run() {
 
   stats_.measurement = evaluator.measurement_stats();
   stats_.evaluator = evaluator.stats();
+  stats_.sim = evaluator.sim_stats();
   return out;
 }
 

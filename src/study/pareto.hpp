@@ -87,6 +87,7 @@ struct ParetoStats {
   std::uint64_t rounds = 0;       ///< batches executed (seed round incl.)
   EngineStats measurement;        ///< the one-time measurement phase
   EvaluatorStats evaluator;       ///< scoring-side memo counters
+  memsim::SimCache::Stats sim;    ///< replays, both phases
 };
 
 struct ParetoConfig {

@@ -101,6 +101,30 @@ StudyResults StudyEngine::run() {
     machine_evals.fetch_add(1, std::memory_order_relaxed);
   };
 
+  auto consume = [&] {
+    for (;;) {
+      std::pair<std::size_t, std::size_t> task;
+      {
+        std::unique_lock lock(mu);
+        cv.wait(lock,
+                [&] { return !ready.empty() || produced_all || aborted; });
+        if (aborted) return;  // fail-fast: drop queued stages
+        if (ready.empty()) {
+          if (produced_all) return;
+          continue;
+        }
+        task = ready.front();
+        ready.pop_front();
+      }
+      try {
+        machine_stage(task.first, task.second);
+      } catch (...) {
+        abort_with(std::current_exception());
+        return;
+      }
+    }
+  };
+
   auto produce = [&] {
     try {
       // One context per producer, reused across the kernels it claims:
@@ -143,35 +167,14 @@ StudyResults StudyEngine::run() {
       if (--live_producers == 0) produced_all = true;
     }
     cv.notify_all();
-  };
-
-  auto consume = [&] {
-    for (;;) {
-      std::pair<std::size_t, std::size_t> task;
-      {
-        std::unique_lock lock(mu);
-        cv.wait(lock,
-                [&] { return !ready.empty() || produced_all || aborted; });
-        if (aborted) return;  // fail-fast: drop queued stages
-        if (ready.empty()) {
-          if (produced_all) return;
-          continue;
-        }
-        task = ready.front();
-        ready.pop_front();
-      }
-      try {
-        machine_stage(task.first, task.second);
-      } catch (...) {
-        abort_with(std::current_exception());
-        return;
-      }
-    }
+    // Out of kernels: help drain the stage queue rather than idle.
+    consume();
   };
 
   // Producers get dedicated threads (each spends its time inside kernel
   // runs); the calling thread and the engine pool's workers drain the
-  // machine-stage queue. Producer exceptions never escape produce().
+  // machine-stage queue, joined by each producer once it runs out of
+  // kernels. Producer exceptions never escape produce().
   // The join guard makes every exit path safe: if spawning a producer
   // or running the engine pool throws (thread exhaustion), the live
   // producers are told to abort and joined before unwinding destroys
@@ -206,6 +209,7 @@ StudyResults StudyEngine::run() {
   const auto sim_stats = sim_cache->stats();
   stats_.sim_hits = sim_stats.hits;
   stats_.sim_misses = sim_stats.misses;
+  stats_.sim_stream_replays = sim_stats.stream_replays;
   if (error) std::rethrow_exception(error);
   return results;
 }

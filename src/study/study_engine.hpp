@@ -14,7 +14,8 @@
 //    tallies on a single global pool;
 //  - each finished measurement streams its (kernel, machine) stages —
 //    pure functions of (CpuSpec, measurement) — to the workers of an
-//    engine-owned pool of cfg.jobs threads.
+//    engine-owned pool of cfg.jobs threads. A producer that runs out of
+//    kernels joins those workers until the queue drains.
 //
 // Guarantees:
 //  - each kernel's instrumented run executes exactly once, shared by all
@@ -46,6 +47,9 @@ struct EngineStats {
   std::uint64_t machine_evals = 0;  ///< completed (kernel, machine) stages
   std::uint64_t sim_hits = 0;       ///< memoized hierarchy replays reused
   std::uint64_t sim_misses = 0;     ///< hierarchy replays actually simulated
+  /// Of the misses, those that walked only the last level over a stored
+  /// stream (memsim::SimCache::Stats::stream_replays).
+  std::uint64_t sim_stream_replays = 0;
 };
 
 class StudyEngine {

@@ -6,7 +6,10 @@
 #include <limits>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "arch/machines.hpp"
@@ -751,9 +754,173 @@ TEST(SimCacheTest, ConcurrentLookupsAreDeterministic) {
   for (auto& th : threads) th.join();
   for (const int b : bad) EXPECT_EQ(b, 0);
   EXPECT_EQ(cache.size(), specs.size());
+  // Single-flight: each distinct key is simulated exactly once, however
+  // the threads interleave.
   const auto cs = cache.stats();
-  EXPECT_EQ(cs.hits + cs.misses, 8u * 3u * specs.size());
-  EXPECT_GE(cs.misses, specs.size());
+  EXPECT_EQ(cs.misses, specs.size());
+  EXPECT_EQ(cs.hits, 8u * 3u * specs.size() - specs.size());
+}
+
+TEST(SimCacheTest, FailedComputeIsNotStored) {
+  SimCache cache;
+  const auto fail = []() -> HierarchyResult {
+    throw std::runtime_error("bad trace");
+  };
+  EXPECT_THROW((void)cache.get_or_compute("k", fail), std::runtime_error);
+  EXPECT_EQ(cache.size(), 0u);
+  const auto r = cache.get_or_compute("k", [] {
+    HierarchyResult res;
+    res.refs = 3;
+    return res;
+  });
+  EXPECT_EQ(r->refs, 3u);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(SimCacheTest, UpperKeyIgnoresOnlyTheLastLevel) {
+  const auto spec = AccessPatternSpec::single(
+      GatherPattern{.table_bytes = 1u << 20, .elem_bytes = 8});
+  const std::string base = SimCache::upper_key(arch::knl(), spec, 1000, 42, 6);
+  const auto cap = arch::derive_variant(arch::knl(), "mcdram-cap=2");
+  EXPECT_EQ(base, SimCache::upper_key(cap.cpu, spec, 1000, 42, 6));
+  const auto cores = arch::derive_variant(arch::knl(), "cores=1.25");
+  EXPECT_EQ(base, SimCache::upper_key(cores.cpu, spec, 1000, 42, 6));
+  // Specs that scale to the same footprint feed the same stream.
+  auto tiny = spec;
+  std::get<GatherPattern>(tiny.components[0].pattern).table_bytes = 1000;
+  auto tinier = tiny;
+  std::get<GatherPattern>(tinier.components[0].pattern).table_bytes = 999;
+  EXPECT_EQ(SimCache::upper_key(arch::knl(), tiny, 1000, 42, 6),
+            SimCache::upper_key(arch::knl(), tinier, 1000, 42, 6));
+  EXPECT_NE(base, SimCache::upper_key(arch::knl(), tiny, 1000, 42, 6));
+  EXPECT_NE(base, SimCache::upper_key(arch::knl(), spec, 1001, 42, 6));
+  EXPECT_NE(base, SimCache::upper_key(arch::knl(), spec, 1000, 43, 6));
+  EXPECT_NE(base, SimCache::upper_key(arch::knl(), spec, 1000, 42, 7));
+  EXPECT_NE(base, SimCache::upper_key(arch::bdw(), spec, 1000, 42, 6));
+}
+
+TEST(LastLevelStream, ReplayMatchesDirectAccess) {
+  // Far-apart lines exercise every varint length and both delta signs;
+  // the warm-up boundary falls inside a replay block.
+  Xoshiro256 rng(5);
+  std::vector<MemRef> refs(5000);
+  for (auto& r : refs) {
+    const std::uint64_t line =
+        rng.below(4) == 0 ? rng.below(std::uint64_t{1} << 57) : rng.below(900);
+    r = {.addr = line << kLineShift | rng.below(64),
+         .write = rng.below(3) == 0};
+  }
+  constexpr std::size_t kWarmup = 1500;
+  const CacheConfig cfg{.size_bytes = 48 * 64 * 8, .associativity = 8};
+  Cache direct(cfg);
+  for (std::size_t i = 0; i < refs.size(); ++i) {
+    if (i == kWarmup) direct.reset_stats();
+    (void)direct.access(refs[i].addr, refs[i].write);
+  }
+  LastLevelStream stream;
+  stream.append(refs.data(), 700);
+  stream.append(refs.data() + 700, kWarmup - 700);
+  stream.mark_warmup();
+  stream.append(refs.data() + kWarmup, refs.size() - kWarmup);
+  stream.shrink_to_fit();
+  Cache replayed(cfg);
+  stream.replay(replayed);
+  EXPECT_EQ(replayed.stats().hits, direct.stats().hits);
+  EXPECT_EQ(replayed.stats().misses, direct.stats().misses);
+  EXPECT_EQ(replayed.stats().writebacks, direct.stats().writebacks);
+  EXPECT_GT(direct.stats().writebacks, 0u);
+}
+
+/// `spec` with every footprint grown by 2^shift, so that
+/// scale_spec(grown(spec, shift), shift) is `spec` again (above the
+/// floors): the property suite replays footprints that overflow L2 and
+/// straddle the last level's capacity.
+AccessPatternSpec grown(const AccessPatternSpec& spec, unsigned shift) {
+  AccessPatternSpec out = spec;
+  for (auto& c : out.components) {
+    std::visit(
+        [&](auto& pat) {
+          using T = std::decay_t<decltype(pat)>;
+          if constexpr (std::is_same_v<T, StreamPattern>) {
+            pat.bytes_per_array <<= shift;
+          } else if constexpr (std::is_same_v<T, StridedPattern> ||
+                               std::is_same_v<T, ChasePattern>) {
+            pat.footprint_bytes <<= shift;
+          } else if constexpr (std::is_same_v<T, StencilPattern>) {
+            const unsigned per_dim = shift / 3;
+            pat.nx <<= per_dim;
+            pat.ny <<= per_dim;
+            pat.nz <<= shift - 2 * per_dim;
+          } else if constexpr (std::is_same_v<T, GatherPattern>) {
+            pat.table_bytes <<= shift;
+          } else if constexpr (std::is_same_v<T, BlockedPattern>) {
+            pat.matrix_bytes <<= shift;
+            pat.tile_bytes <<= shift;
+          }
+        },
+        c.pattern);
+  }
+  return out;
+}
+
+// Property: a replay served from a stored last-level stream equals a
+// direct replay in every level's hits, misses and writebacks, on every
+// Table I machine and on the last-level variants the Pareto search
+// makes. Each machine's rows share one cache in order, so the base row
+// records the streams and every later row (same L1/L2, another last
+// level) is served from them.
+TEST(SimCacheTest, StreamReplayMatchesDirectReplay) {
+  constexpr unsigned kShift = 12;
+  // Not a multiple of the 1024-reference replay block: the warm-up
+  // boundary falls mid-block.
+  constexpr std::uint64_t kRefs = 12'345;
+  const std::vector<std::string> variants = {
+      "",          "mcdram-cap=2",           "mcdram-cap=2+mcdram-cap=2",
+      "cores=0.9", "cores=0.9+mcdram-cap=2", "cores=1.25+mcdram-cap=2"};
+  std::vector<AccessPatternSpec> specs;
+  for (const auto& s : all_pattern_specs()) specs.push_back(grown(s, kShift));
+  for (const auto& base : arch::all_machines()) {
+    SimCache cache;
+    for (const auto& spec_text : variants) {
+      if (!base.has_mcdram() &&
+          spec_text.find("mcdram") != std::string::npos) {
+        continue;  // Phi-only transform
+      }
+      const arch::CpuSpec cpu = arch::derive_variant(base, spec_text).cpu;
+      const std::string row = base.short_name + " '" + spec_text + "'";
+      const auto before = cache.stats();
+      std::uint64_t last_accesses = 0;
+      for (std::size_t i = 0; i < specs.size(); ++i) {
+        const auto want = simulate_pattern(cpu, specs[i], kRefs, 11, kShift);
+        const auto got =
+            simulate_pattern_cached(&cache, cpu, specs[i], kRefs, 11, kShift);
+        ASSERT_EQ(got.refs, want.refs) << row;
+        ASSERT_EQ(got.levels.size(), want.levels.size()) << row;
+        for (std::size_t l = 0; l < want.levels.size(); ++l) {
+          const auto& g = got.levels[l];
+          const auto& w = want.levels[l];
+          EXPECT_EQ(g.name, w.name) << row;
+          EXPECT_EQ(g.stats.hits, w.stats.hits) << row << " spec " << i
+                                                << " " << w.name;
+          EXPECT_EQ(g.stats.misses, w.stats.misses) << row << " spec " << i
+                                                    << " " << w.name;
+          EXPECT_EQ(g.stats.writebacks, w.stats.writebacks)
+              << row << " spec " << i << " " << w.name;
+        }
+        last_accesses += want.levels.back().stats.accesses();
+      }
+      EXPECT_GT(last_accesses, 0u) << row;  // the last level did work
+      const auto after = cache.stats();
+      EXPECT_EQ(after.misses - before.misses, specs.size()) << row;
+      if (spec_text.empty()) {
+        EXPECT_EQ(after.stream_replays, 0u) << row;
+      } else {
+        EXPECT_EQ(after.stream_replays - before.stream_replays, specs.size())
+            << row;
+      }
+    }
+  }
 }
 
 }  // namespace
