@@ -3,13 +3,11 @@
 // of the paper's Table II taxonomy plus two mixtures (a broad one and the
 // two-component stencil+gather shape):
 //
-//  - baseline: a verbatim replica of the pre-batching implementation
+//  - baseline: a verbatim replica of the pre-batching cache
 //    (array-of-struct ways, early-exit scan, hardware divide per set
-//    lookup) driven one reference at a time — the scalar baseline the
-//    speedup is quoted against;
-//  - scalar:   TraceGenerator::next + Cache::access (a batch of one),
-//    one reference and one full level walk at a time (Hierarchy's
-//    oracle path, isolates the cache-layout share of the win);
+//    lookup) walked one reference and one level at a time over the
+//    same generated trace — the independent cache model the production
+//    path is checked against and the speedup is quoted against;
 //  - batched:  the production path — TraceGenerator::fill blocks and
 //    Cache::access_many level filtering (Hierarchy::replay);
 //  - file:     the same replay fed from an fpr-trace v1 file
@@ -114,7 +112,8 @@ class BaselineCache {
 };
 
 /// The seed replay loop over BaselineCache levels, mirroring the
-/// geometry Hierarchy builds for `cpu`.
+/// geometry Hierarchy builds for `cpu`. References come from gen.fill a
+/// block at a time; each is then walked through the levels on its own.
 HierarchyResult baseline_replay(const fpr::arch::CpuSpec& cpu,
                                 unsigned scale_shift, TraceGenerator& gen,
                                 std::uint64_t refs, std::uint64_t warmup) {
@@ -125,12 +124,18 @@ HierarchyResult baseline_replay(const fpr::arch::CpuSpec& cpu,
   for (std::size_t i = 0; i < h.num_levels(); ++i) {
     levels.emplace_back(h.level_config(i));
   }
+  std::vector<MemRef> block(1024);
   auto run = [&](std::uint64_t count) {
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const MemRef ref = gen.next();
-      for (auto& level : levels) {
-        if (level.access(ref.addr, ref.write)) break;
+    while (count > 0) {
+      const std::size_t n = static_cast<std::size_t>(
+          std::min<std::uint64_t>(count, block.size()));
+      gen.fill(block.data(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (auto& level : levels) {
+          if (level.access(block[i].addr, block[i].write)) break;
+        }
       }
+      count -= n;
     }
   };
   run(warmup);
@@ -313,10 +318,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  bench::header("Memory-hierarchy replay throughput (scalar/batched)",
+  bench::header("Memory-hierarchy replay throughput (baseline/batched)",
                 "the Sec. III-A PCM-profiling stage");
 
-  double baseline_total = 0.0, scalar_total = 0.0, batched_total = 0.0;
+  double baseline_total = 0.0, batched_total = 0.0;
   bool all_identical = true;
   // Every Table I machine: KNL/KNM time the 8/16/8-way levels, BDW adds
   // the 8-way L2 and the 20-way LLC.
@@ -331,9 +336,8 @@ int main(int argc, char** argv) {
         stage_cols.push_back(probe.level_name(i) + "[Mref/s]");
       }
     }
-    TextTable table({"Pattern", "Baseline[Mref/s]", "Scalar[Mref/s]",
-                     "Batched[Mref/s]", "File[Mref/s]", "Speedup",
-                     "Identical"});
+    TextTable table({"Pattern", "Baseline[Mref/s]", "Batched[Mref/s]",
+                     "File[Mref/s]", "Speedup", "Identical"});
     TextTable stage_table(stage_cols);
 
     for (const auto& w : workloads()) {
@@ -344,14 +348,8 @@ int main(int argc, char** argv) {
       const auto r0 = baseline_replay(cpu, scale_shift, g0, refs, refs);
       const double baseline_s = t0.seconds();
 
-      Hierarchy hs(cpu, scale_shift);
-      TraceGenerator gs(scaled, 0xfeed1234);
-      WallTimer ts;
-      const auto rs = hs.replay_scalar(gs, refs, refs);
-      const double scalar_s = ts.seconds();
-
       Hierarchy hb(cpu, scale_shift);
-      TraceGenerator gb(scaled, 0xfeed1234);
+      SyntheticTraceSource gb(scaled, 0xfeed1234);
       WallTimer tb;
       const auto rb = hb.replay(gb, refs, refs);
       const double batched_s = tb.seconds();
@@ -389,18 +387,16 @@ int main(int argc, char** argv) {
       const double file_s = tf.seconds();
       std::remove(trace_path);
 
-      const bool same = identical(r0, rb) && identical(rs, rb) &&
-                        identical(rstage, rb) && identical(rf, rb);
+      const bool same = identical(r0, rb) && identical(rstage, rb) &&
+                        identical(rf, rb);
       all_identical = all_identical && same;
       baseline_total += baseline_s;
-      scalar_total += scalar_s;
       batched_total += batched_s;
       // Warmup references count toward throughput.
       const double mref = static_cast<double>(2 * refs) / 1e6;
       table.row()
           .cell(w.name)
           .num(baseline_s > 0 ? mref / baseline_s : 0.0, 2)
-          .num(scalar_s > 0 ? mref / scalar_s : 0.0, 2)
           .num(batched_s > 0 ? mref / batched_s : 0.0, 2)
           .num(file_s > 0 ? mref / file_s : 0.0, 2)
           .num(batched_s > 0 ? baseline_s / batched_s : 0.0, 2)
@@ -431,13 +427,13 @@ int main(int argc, char** argv) {
   const double speedup =
       batched_total > 0 ? baseline_total / batched_total : 0.0;
   std::printf(
-      "aggregate: baseline %.3f s, scalar %.3f s, batched %.3f s, "
+      "aggregate: baseline %.3f s, batched %.3f s, "
       "speedup %.2fx (production vs baseline)\n",
-      baseline_total, scalar_total, batched_total, speedup);
+      baseline_total, batched_total, speedup);
 
   if (!all_identical) {
-    std::cerr << "[bench] REPLAY MISMATCH: every path (baseline, scalar, "
-                 "batched, staged, file) must produce identical per-level "
+    std::cerr << "[bench] REPLAY MISMATCH: every path (baseline, batched, "
+                 "staged, file) must produce identical per-level "
                  "statistics\n";
     return 1;
   }

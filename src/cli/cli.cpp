@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <utility>
 
 #include <cmath>
 #include <cstdio>
@@ -186,6 +189,32 @@ struct RunOptions {
   double tolerance = 0.0;
   // non-option arguments (diff's two file paths)
   std::vector<std::string> positional;
+};
+
+/// The flags each command owns, space-separated: exactly the RunOptions
+/// fields its cmd_* reads. An alias is listed under its canonical
+/// spelling (--kernel, --trace-refs, --machine). run_cli rejects any
+/// other flag, which the command would parse and then silently ignore.
+constexpr std::pair<std::string_view, std::string_view> kCommandFlags[] = {
+    {"list", "--csv"},
+    {"tables", "--csv"},
+    {"run",
+     "--kernel --scale --threads --repeats --seed --auto-threads --csv"},
+    {"study",
+     "--kernel --scale --threads --seed --csv --jobs --kernel-jobs "
+     "--trace-refs --no-sweep --timing --out --golden"},
+    {"memsim",
+     "--kernel --scale --scale-shift --seed --threads --trace-refs --csv"},
+    {"trace",
+     "--machine --trace-refs --warmup --scale-shift --threads --csv --out"},
+    {"explore",
+     "--base --variants --kernel --scale --threads --seed --trace-refs "
+     "--jobs --kernel-jobs --csv --out --golden"},
+    {"pareto",
+     "--base --budget-area --budget-tdp --objectives --rounds --explorers "
+     "--max-depth --search-seed --kernel --scale --threads --seed "
+     "--trace-refs --jobs --kernel-jobs --csv --out --golden"},
+    {"diff", "--tolerance --csv"},
 };
 
 /// Shared validation for worker-count options (--threads, --jobs,
@@ -1190,6 +1219,23 @@ int cmd_diff(const RunOptions& opt, std::ostream& out, std::ostream& err) {
 
 }  // namespace
 
+bool command_owns_flag(std::string_view command, std::string_view flag) {
+  if (flag == "--kernels") flag = "--kernel";
+  if (flag == "--refs") flag = "--trace-refs";
+  if (flag == "--machines") flag = "--machine";
+  for (const auto& [name, flags] : kCommandFlags) {
+    if (name != command) continue;
+    // Every entry starts with "--", so a match starts on an entry; it
+    // must also end on one (--kernel is not --kernel-jobs).
+    for (auto at = flags.find(flag); at != std::string_view::npos;
+         at = flags.find(flag, at + 1)) {
+      const auto end = at + flag.size();
+      if (end == flags.size() || flags[end] == ' ') return true;
+    }
+  }
+  return false;
+}
+
 int run_cli(const std::vector<std::string>& args, std::ostream& out,
             std::ostream& err) {
   if (args.empty()) return usage_error(err, "missing command");
@@ -1200,8 +1246,10 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
   }
 
   RunOptions opt;
+  std::vector<std::string> flags_given;
   for (std::size_t i = 1; i < args.size(); ++i) {
     const std::string& arg = args[i];
+    if (arg.rfind("--", 0) == 0) flags_given.push_back(arg);
     auto value = [&]() -> const std::string& {
       if (i + 1 >= args.size()) {
         throw std::invalid_argument("option " + arg + " needs a value");
@@ -1328,6 +1376,15 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
       }
     } catch (const std::invalid_argument& e) {
       return usage_error(err, e.what());
+    }
+  }
+
+  const bool known = std::any_of(
+      std::begin(kCommandFlags), std::end(kCommandFlags),
+      [&](const auto& entry) { return entry.first == command; });
+  for (const auto& flag : flags_given) {
+    if (known && !command_owns_flag(command, flag)) {
+      return usage_error(err, "'" + command + "' does not take " + flag);
     }
   }
 

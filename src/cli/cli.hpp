@@ -13,6 +13,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace fpr::cli {
@@ -32,5 +33,10 @@ inline constexpr int kExitBadInput = 3;  ///< well-formed flags, bad data
 /// kExitFailure on runtime errors, kExitBadInput on malformed inputs).
 int run_cli(const std::vector<std::string>& args, std::ostream& out,
             std::ostream& err);
+
+/// True when `command` takes `flag` (or an alias of it, such as --refs
+/// for --trace-refs). run_cli rejects every other flag with kExitUsage;
+/// false for an unknown command.
+bool command_owns_flag(std::string_view command, std::string_view flag);
 
 }  // namespace fpr::cli

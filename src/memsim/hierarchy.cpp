@@ -178,7 +178,7 @@ HierarchyResult Hierarchy::replay(TraceSource& src, std::uint64_t refs,
   const std::size_t upper = levels_.size() - 1;
   // Per level L, the accesses it sees are level L-1's misses in order,
   // so filtering a whole block level by level replays exactly the same
-  // per-cache access sequences as the scalar reference walk. A finite
+  // per-cache access sequences as a per-reference walk. A finite
   // source may produce a short block; run() reports how many references
   // it actually replayed.
   auto run = [&](std::uint64_t count) -> std::uint64_t {
@@ -208,36 +208,6 @@ HierarchyResult Hierarchy::replay(TraceSource& src, std::uint64_t refs,
   if (record != nullptr) record->shrink_to_fit();
   HierarchyResult r;
   r.refs = measured;
-  for (std::size_t i = 0; i < levels_.size(); ++i) {
-    r.levels.push_back({names_[i], levels_[i].stats()});
-  }
-  return r;
-}
-
-HierarchyResult Hierarchy::replay(TraceGenerator& gen, std::uint64_t refs,
-                                  std::uint64_t warmup) {
-  SyntheticTraceSource src(gen);
-  return replay(static_cast<TraceSource&>(src), refs, warmup);
-}
-
-HierarchyResult Hierarchy::replay_scalar(TraceGenerator& gen,
-                                         std::uint64_t refs,
-                                         std::uint64_t warmup) {
-  for (auto& c : levels_) c.clear();
-  auto run = [&](std::uint64_t count) {
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const MemRef ref = gen.next();
-      for (auto& level : levels_) {
-        const bool hit = level.access(ref.addr, ref.write);
-        if (hit) break;
-      }
-    }
-  };
-  run(warmup);
-  for (auto& c : levels_) c.reset_stats();
-  run(refs);
-  HierarchyResult r;
-  r.refs = refs;
   for (std::size_t i = 0; i < levels_.size(); ++i) {
     r.levels.push_back({names_[i], levels_[i].stats()});
   }

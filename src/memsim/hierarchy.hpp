@@ -105,25 +105,15 @@ class Hierarchy {
   /// (TraceSource::fill) and each level filters a whole block to the
   /// miss stream the next level consumes (Cache::access_many), hoisting
   /// source dispatch and the level loop out of the per-reference path.
-  /// Results are bit-identical to replay_scalar().
+  /// Results are bit-identical to walking each reference through every
+  /// level with Cache::access, which BatchedIdentity/* checks against a
+  /// test-only reference walk.
   ///
   /// When `record` is non-null, the stream entering the last level is
   /// appended to it as the replay walks, warm-up boundary included.
   HierarchyResult replay(TraceSource& src, std::uint64_t refs,
                          std::uint64_t warmup = 0,
                          LastLevelStream* record = nullptr);
-
-  /// Synthetic convenience: wraps `gen` in a borrowing
-  /// SyntheticTraceSource — same computation, same RNG state advance,
-  /// bit-identical to the source overload.
-  HierarchyResult replay(TraceGenerator& gen, std::uint64_t refs,
-                         std::uint64_t warmup = 0);
-
-  /// Reference implementation: one gen.next() and one full level walk
-  /// per reference. Kept as the oracle the batched path is verified
-  /// against (tests) and the baseline bench/memsim_replay times.
-  HierarchyResult replay_scalar(TraceGenerator& gen, std::uint64_t refs,
-                                std::uint64_t warmup = 0);
 
   [[nodiscard]] unsigned scale_shift() const { return scale_shift_; }
   [[nodiscard]] std::size_t num_levels() const { return levels_.size(); }

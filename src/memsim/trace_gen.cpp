@@ -40,8 +40,7 @@ struct TraceGenerator::ComponentState {
   std::uint64_t pos = 0;
   std::uint64_t aux = 0;
   std::vector<std::uint32_t> chase_order;  // for ChasePattern
-  // Batch-path accelerators (lazily built; never touch the RNG except
-  // build_chase_order, which consumes exactly what the scalar build does).
+  // Lazily built lookup tables; only build_chase_order touches the RNG.
   std::vector<std::array<std::int64_t, 3>> stencil_offsets;
   MagicDiv slot_div;  // gather/blocked slot modulo, hoisted per block
 
@@ -49,7 +48,6 @@ struct TraceGenerator::ComponentState {
       : pattern(std::move(p)), base(b), rng(seed) {}
 
   /// Lazily build the chase ring (Sattolo shuffle => one full cycle).
-  /// Factored out so the scalar and batch paths consume identical RNG.
   void build_chase_order(std::uint64_t nodes) {
     if (!chase_order.empty()) return;
     chase_order.resize(nodes);
@@ -61,8 +59,8 @@ struct TraceGenerator::ComponentState {
   }
 
   /// Precompute the (dx, dy, dz) neighbour offsets for stencil point k
-  /// (pure function of radius/box shape; the scalar path re-derives the
-  /// same values per reference).
+  /// (pure function of radius/box shape). A box enumerates the
+  /// (2r+1)^3 cube; a star is the centre plus +-1..r along each axis.
   void build_stencil_offsets(const StencilPattern& p, int r,
                              std::uint64_t pts) {
     if (stencil_offsets.size() == pts) return;
@@ -87,23 +85,18 @@ struct TraceGenerator::ComponentState {
     }
   }
 
-  MemRef generate() {
-    return std::visit([this](const auto& pat) { return gen(pat); }, pattern);
-  }
-
-  /// Emit `n` consecutive references with a single variant dispatch.
-  /// Each pattern has a specialized block loop that derives its running
-  /// offsets from (pos, aux) once per call with the scalar formulas, then
-  /// advances them with one conditional wrap instead of a div/mod per
-  /// reference (plus hoisted reciprocals for the RNG slot picks and
-  /// precomputed stencil offset tables). Bit-identity with n scalar gen()
-  /// calls is the contract — the memsim property tests replay both and
-  /// compare exactly.
+  /// Emit the next `n` references with one variant dispatch. These block
+  /// loops are each pattern's only definition: each derives its running
+  /// offsets from (pos, aux) once per call and advances them with a
+  /// conditional wrap instead of a div/mod per reference. BatchedIdentity/*
+  /// checks them against tests/memsim_reference.hpp.
   void generate_n(MemRef* out, std::size_t n) {
     std::visit([&](const auto& pat) { gen_n(pat, out, n); }, pattern);
   }
 
   void gen_n(const StreamPattern& p, MemRef* out, std::size_t n) {
+    // Round-robin across the arrays at one 8 B element offset. The length
+    // rounds down to the element size so wrapped offsets stay aligned.
     const std::uint64_t len =
         std::max<std::uint64_t>(p.bytes_per_array, 64) & ~std::uint64_t{7};
     const auto arrays = static_cast<std::uint64_t>(std::max(1, p.arrays));
@@ -195,6 +188,8 @@ struct TraceGenerator::ComponentState {
     const std::uint64_t table = std::max<std::uint64_t>(p.table_bytes, 512);
     const std::uint64_t slots = table / p.elem_bytes;
     if (slot_div.divisor() != slots) slot_div = MagicDiv(slots);
+    // The driver stream cycles inside the table: a window of its own
+    // would double the footprint that capacity scaling accounts for.
     std::uint64_t off = (pos * 8) % table;
     std::uint64_t seq = 0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -216,9 +211,9 @@ struct TraceGenerator::ComponentState {
     const std::uint64_t nodes =
         std::max<std::uint64_t>(p.footprint_bytes / node, 16);
     build_chase_order(nodes);
-    // After the first hop the cursor is itself a node index, so the
-    // per-reference modulo of the scalar path is a no-op; one table
-    // load per reference remains, as a real chase would have.
+    // After the first hop the cursor is itself a node index, so only the
+    // start needs the modulo; one table load per reference remains, as a
+    // real chase would have.
     std::uint64_t cur = pos % nodes;
     for (std::size_t i = 0; i < n; ++i) {
       cur = chase_order[cur];
@@ -228,6 +223,9 @@ struct TraceGenerator::ComponentState {
   }
 
   void gen_n(const BlockedPattern& p, MemRef* out, std::size_t n) {
+    // Per phase: one 8 B step of the matrix stream, then `tile_reuse`
+    // random hits into the tile holding the stream position, the last a
+    // write. The small tile floor keeps scaled-down tiles cache-sized.
     const std::uint64_t tile = std::max<std::uint64_t>(p.tile_bytes, 256);
     const std::uint64_t matrix =
         std::max<std::uint64_t>(p.matrix_bytes, tile);
@@ -253,133 +251,6 @@ struct TraceGenerator::ComponentState {
       if (++step == phase) step = 0;
     }
     pos += n;
-  }
-
-  MemRef gen(const StreamPattern& p) {
-    // Effective length rounds down to the 8 B element size: otherwise the
-    // cyclic offset (elem * 8) % len straddles element boundaries after
-    // the first wrap whenever bytes_per_array is not a multiple of 8.
-    const std::uint64_t len =
-        std::max<std::uint64_t>(p.bytes_per_array, 64) & ~std::uint64_t{7};
-    const int arrays = std::max(1, p.arrays);
-    // Round-robin across arrays at the same element offset, 8B elements.
-    const std::uint64_t elem = pos / arrays;
-    const int array = static_cast<int>(pos % arrays);
-    ++pos;
-    const std::uint64_t offset = (elem * 8) % len;
-    const bool write = array < p.writes_per_iter;
-    return {base + static_cast<std::uint64_t>(array) * align_up(len, 4096) +
-                offset,
-            write};
-  }
-
-  MemRef gen(const StridedPattern& p) {
-    const std::uint64_t fp = std::max<std::uint64_t>(p.footprint_bytes, 512);
-    const std::uint64_t offset = (pos * p.stride_bytes) % fp;
-    ++pos;
-    return {base + offset, false};
-  }
-
-  MemRef gen(const StencilPattern& p) {
-    const std::uint64_t nx = std::max<std::uint64_t>(p.nx, 4);
-    const std::uint64_t ny = std::max<std::uint64_t>(p.ny, 4);
-    const std::uint64_t nz = std::max<std::uint64_t>(p.nz, 4);
-    const std::uint64_t cells = nx * ny * nz;
-    // pos enumerates (cell, neighbour) pairs in sweep order.
-    const int r = std::max(1, p.radius);
-    const std::uint64_t pts =
-        p.full_box ? static_cast<std::uint64_t>((2 * r + 1)) * (2 * r + 1) *
-                         (2 * r + 1)
-                   : static_cast<std::uint64_t>(6 * r + 1);
-    const std::uint64_t cell = (pos / (pts + 1)) % cells;
-    const std::uint64_t k = pos % (pts + 1);
-    ++pos;
-    const std::uint64_t x = cell % nx;
-    const std::uint64_t y = (cell / nx) % ny;
-    const std::uint64_t z = cell / (nx * ny);
-    if (k == pts) {
-      // Write of the destination cell (second grid).
-      const std::uint64_t out =
-          cells * p.elem_bytes + cell * p.elem_bytes;
-      return {base + out, true};
-    }
-    std::int64_t dx = 0, dy = 0, dz = 0;
-    if (p.full_box) {
-      const std::uint64_t side = 2 * static_cast<std::uint64_t>(r) + 1;
-      dx = static_cast<std::int64_t>(k % side) - r;
-      dy = static_cast<std::int64_t>((k / side) % side) - r;
-      dz = static_cast<std::int64_t>(k / (side * side)) - r;
-    } else {
-      // star: center plus +-i along each axis
-      if (k > 0) {
-        const std::uint64_t axis = (k - 1) / (2 * r);
-        const std::int64_t step =
-            static_cast<std::int64_t>((k - 1) % (2 * r)) -
-            static_cast<std::int64_t>(r) +
-            (((k - 1) % (2 * r)) >= static_cast<std::uint64_t>(r) ? 1 : 0);
-        if (axis == 0) dx = step;
-        if (axis == 1) dy = step;
-        if (axis == 2) dz = step;
-      }
-    }
-    auto clampc = [](std::int64_t v, std::uint64_t n) {
-      return static_cast<std::uint64_t>(
-          std::clamp<std::int64_t>(v, 0, static_cast<std::int64_t>(n) - 1));
-    };
-    const std::uint64_t idx =
-        clampc(static_cast<std::int64_t>(x) + dx, nx) +
-        nx * (clampc(static_cast<std::int64_t>(y) + dy, ny) +
-              ny * clampc(static_cast<std::int64_t>(z) + dz, nz));
-    return {base + idx * p.elem_bytes, false};
-  }
-
-  MemRef gen(const GatherPattern& p) {
-    const std::uint64_t table =
-        std::max<std::uint64_t>(p.table_bytes, 512);
-    if (rng.uniform() < p.sequential_fraction) {
-      // Driver stream cycles inside the declared table range: a separate
-      // [table, 2*table) window would double the simulated footprint
-      // beyond the table_bytes that capacity scaling accounts for.
-      const std::uint64_t offset = (pos * 8) % table;
-      ++pos;
-      return {base + offset, false};
-    }
-    const std::uint64_t slot = rng.below(table / p.elem_bytes);
-    return {base + slot * p.elem_bytes, false};
-  }
-
-  MemRef gen(const ChasePattern& p) {
-    const std::uint32_t node = std::max<std::uint32_t>(p.node_bytes, 8);
-    const std::uint64_t nodes =
-        std::max<std::uint64_t>(p.footprint_bytes / node, 16);
-    build_chase_order(nodes);
-    pos = chase_order[pos % nodes];
-    return {base + static_cast<std::uint64_t>(pos) * node, false};
-  }
-
-  MemRef gen(const BlockedPattern& p) {
-    // Floor at a few cache lines only: scaled-down tiles must stay small
-    // enough to preserve the blocking locality they model.
-    const std::uint64_t tile = std::max<std::uint64_t>(p.tile_bytes, 256);
-    const std::uint64_t matrix =
-        std::max<std::uint64_t>(p.matrix_bytes, tile);
-    // For every streamed line of the matrix, make `tile_reuse` hits into
-    // the current tile; advance the tile base when the stream wraps a tile.
-    const double reuse = std::max(1.0, p.tile_reuse);
-    const auto phase = static_cast<std::uint64_t>(reuse) + 1;
-    const std::uint64_t step = pos % phase;
-    if (step == 0) {
-      // Element-granular stream (8 B) so consecutive stream refs share
-      // cache lines, as a real GEMM panel stream does.
-      const std::uint64_t offset = (aux * 8) % matrix;
-      ++aux;
-      ++pos;
-      return {base + offset, false};  // stream through the matrix
-    }
-    ++pos;
-    const std::uint64_t tile_base = ((aux * 8) / tile) * tile % matrix;
-    const std::uint64_t offset = rng.below(tile / 8) * 8;
-    return {base + (tile_base + offset) % matrix, step == phase - 1};
   }
 };
 
@@ -420,14 +291,9 @@ TraceGenerator::TraceGenerator(const AccessPatternSpec& spec,
   cursor_.resize(comps_.size());
 }
 
-MemRef TraceGenerator::next() {
-  // rng_ only ever chooses a component, so a single-component spec never
-  // draws it (in next() or fill()).
-  if (comps_.size() == 1) return comps_[0]->generate();
-  return comps_[pick(cumulative_, rng_.uniform())]->generate();
-}
-
 void TraceGenerator::fill(MemRef* out, std::size_t n) {
+  // rng_ only ever chooses a component, so a single-component spec never
+  // draws it.
   if (comps_.size() == 1) {
     comps_[0]->generate_n(out, n);
     return;

@@ -91,7 +91,7 @@ struct AccessPatternSpec {
   }
 };
 
-/// Bounded trace replay interface: produces up to `n` references.
+/// The infinite, cyclic reference trace of a spec at a seed.
 class TraceGenerator {
  public:
   explicit TraceGenerator(const AccessPatternSpec& spec, std::uint64_t seed);
@@ -99,16 +99,13 @@ class TraceGenerator {
   TraceGenerator(TraceGenerator&&) noexcept;
   TraceGenerator& operator=(TraceGenerator&&) noexcept;
 
-  /// Next reference in the (infinite, cyclic) trace.
-  MemRef next();
-
-  /// Emit the next `n` references of the same trace into `out`; the
-  /// throughput path. A mixture is sampled a block (<= 4096 refs) at a
-  /// time: every reference's component is drawn first, then each
-  /// component generates its share with one variant dispatch, and an
-  /// index merge puts the refs back in selection order. The emitted
-  /// sequence (and every RNG state) is bit-identical to calling next()
-  /// n times, which the property tests assert for all pattern classes.
+  /// Emit the next `n` references of the trace into `out`. A mixture is
+  /// sampled a block (<= 4096 refs) at a time: every reference's
+  /// component is drawn first, then each component generates its share
+  /// with one variant dispatch, and an index merge puts the refs back in
+  /// selection order. The trace does not depend on how it is split into
+  /// calls; BatchedIdentity/* checks it, for every pattern class, against
+  /// the per-reference model in tests/memsim_reference.hpp.
   void fill(MemRef* out, std::size_t n);
 
  private:

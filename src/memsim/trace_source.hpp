@@ -2,9 +2,8 @@
 // consumes. Hierarchy::replay pulls fixed-size blocks from
 // a TraceSource; where those blocks come from — the synthetic
 // TraceGenerator mixtures or an on-disk fpr-trace file — is the source's
-// business. SyntheticTraceSource is a zero-cost wrapper over
-// TraceGenerator (same fill(), bit-identical sequences, so every golden
-// snapshot is unchanged); the file-backed source lives one layer up in
+// business. SyntheticTraceSource owns a TraceGenerator and forwards
+// fill() to it; the file-backed source lives one layer up in
 // io/trace_replay.hpp (io::FileTraceSource), because memsim defines the
 // abstraction and must not know about on-disk formats — the layering
 // gate (fpr-lint layer-violation) enforces that direction.
@@ -12,7 +11,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 
 #include "arch/cpu_spec.hpp"
 #include "memsim/hierarchy.hpp"
@@ -30,25 +28,20 @@ class TraceSource {
   virtual std::size_t fill(MemRef* out, std::size_t n) = 0;
 };
 
-/// Infinite synthetic source over a TraceGenerator. Owning (constructed
-/// from a spec + seed) or borrowing (wrapping a caller's generator whose
-/// RNG state advances through this source) — either way fill() is
-/// exactly TraceGenerator::fill, so the emitted sequence is bit-identical
-/// to driving the generator directly.
+/// Infinite synthetic source: the trace of `spec` at `seed`, exactly as
+/// TraceGenerator::fill emits it.
 class SyntheticTraceSource final : public TraceSource {
  public:
   SyntheticTraceSource(const AccessPatternSpec& spec, std::uint64_t seed)
-      : owned_(TraceGenerator(spec, seed)), gen_(&*owned_) {}
-  explicit SyntheticTraceSource(TraceGenerator& gen) : gen_(&gen) {}
+      : gen_(spec, seed) {}
 
   std::size_t fill(MemRef* out, std::size_t n) override {
-    gen_->fill(out, n);
+    gen_.fill(out, n);
     return n;
   }
 
  private:
-  std::optional<TraceGenerator> owned_;
-  TraceGenerator* gen_;
+  TraceGenerator gen_;
 };
 
 /// Replay an arbitrary source through a scaled hierarchy for `cpu`:

@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include <cctype>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -55,6 +56,83 @@ TEST(Cli, UnknownCommandIsUsageError) {
   const auto r = run({"frobnicate"});
   EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("unknown command 'frobnicate'"), std::string::npos);
+}
+
+// A flag another command owns would be parsed and then silently
+// ignored, so it is a usage error.
+TEST(Cli, ForeignFlagIsUsageError) {
+  const std::vector<std::vector<std::string>> cases = {
+      {"memsim", "--budget-area", "3"},
+      {"list", "--jobs", "3"},
+      {"study", "--objectives", "time"},
+  };
+  for (const auto& args : cases) {
+    const auto r = run(args);
+    EXPECT_EQ(r.code, 2) << args[0];
+    EXPECT_NE(r.err.find("'" + args[0] + "' does not take " + args[1]),
+              std::string::npos)
+        << r.err;
+    EXPECT_TRUE(r.out.empty()) << args[0];
+  }
+}
+
+// Every flag the usage text lists under a command is one that command
+// takes. A "<cmd>[/<cmd>] options" header opens a section (its "(plus
+// --a/--b as above)" clause, which may wrap onto a line of its own,
+// lists flags too); a "[run]" tag narrows a flag to run.
+TEST(Cli, EveryUsageFlagIsOwnedByItsCommand) {
+  const auto help = run({"help"}).out;
+  auto flags_in = [](const std::string& text) {
+    std::vector<std::string> flags;
+    for (auto at = text.find("--"); at != std::string::npos;
+         at = text.find("--", at)) {
+      auto end = at + 2;
+      while (end < text.size() &&
+             (std::islower(static_cast<unsigned char>(text[end])) != 0 ||
+              text[end] == '-')) {
+        ++end;
+      }
+      flags.push_back(text.substr(at, end - at));
+      at = end;
+    }
+    return flags;
+  };
+  std::istringstream in(help);
+  std::string line;
+  std::vector<std::string> section;
+  std::size_t checked = 0;
+  while (std::getline(in, line)) {
+    std::vector<std::string> owners = section;
+    std::vector<std::string> flags;
+    const auto opts = line.find(" options");
+    if (!line.empty() && line[0] != ' ' && line[0] != '-' &&
+        opts != std::string::npos) {
+      section.clear();
+      std::istringstream names(line.substr(0, opts));
+      for (std::string c; std::getline(names, c, '/');) section.push_back(c);
+      owners = section;
+      flags = flags_in(line.substr(opts));
+    } else if (line.rfind("--", 0) == 0) {
+      flags = flags_in(line);
+    } else if (line.rfind("  --", 0) == 0) {
+      flags = {line.substr(2, line.find(' ', 2) - 2)};
+      if (line.find("[run]") != std::string::npos) owners = {"run"};
+    }
+    for (const auto& command : owners) {
+      for (const auto& flag : flags) {
+        EXPECT_TRUE(command_owns_flag(command, flag))
+            << "usage lists " << flag << " under " << command;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GE(checked, 50u);
+  // Aliases count as the flag they stand for.
+  EXPECT_TRUE(command_owns_flag("memsim", "--refs"));
+  EXPECT_TRUE(command_owns_flag("trace", "--machines"));
+  EXPECT_TRUE(command_owns_flag("study", "--kernels"));
+  EXPECT_FALSE(command_owns_flag("run", "--refs"));
+  EXPECT_FALSE(command_owns_flag("help", "--csv"));
 }
 
 TEST(Cli, HelpPrintsUsageOnStdout) {

@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <iterator>
 #include <limits>
 #include <set>
 #include <stdexcept>
@@ -21,6 +20,8 @@
 #include "memsim/hierarchy.hpp"
 #include "memsim/sim_cache.hpp"
 #include "memsim/trace_gen.hpp"
+#include "memsim/trace_source.hpp"
+#include "memsim_reference.hpp"
 
 namespace fpr::memsim {
 namespace {
@@ -97,25 +98,29 @@ TEST(Cache, StreamingHitRateIsSevenEighths) {
   EXPECT_NEAR(c.stats().hit_rate(), 7.0 / 8.0, 0.01);
 }
 
+/// The first `n` references of the trace of `spec` at `seed`.
+std::vector<MemRef> take(const AccessPatternSpec& spec, std::uint64_t seed,
+                         std::size_t n) {
+  std::vector<MemRef> refs(n);
+  TraceGenerator(spec, seed).fill(refs.data(), n);
+  return refs;
+}
+
 TEST(TraceGen, StreamPatternIsSequentialPerArray) {
   AccessPatternSpec spec = AccessPatternSpec::single(
       StreamPattern{.bytes_per_array = 1 << 20, .arrays = 1,
                     .writes_per_iter = 0});
-  TraceGenerator gen(spec, 1);
-  std::uint64_t prev = gen.next().addr;
-  for (int i = 0; i < 100; ++i) {
-    const std::uint64_t a = gen.next().addr;
-    EXPECT_EQ(a, prev + 8);
-    prev = a;
+  const auto refs = take(spec, 1, 101);
+  for (std::size_t i = 1; i < refs.size(); ++i) {
+    EXPECT_EQ(refs[i].addr, refs[i - 1].addr + 8);
   }
 }
 
 TEST(TraceGen, ChaseVisitsAllNodes) {
   AccessPatternSpec spec = AccessPatternSpec::single(
       ChasePattern{.footprint_bytes = 64 * 64, .node_bytes = 64});
-  TraceGenerator gen(spec, 2);
   std::set<std::uint64_t> seen;
-  for (int i = 0; i < 64; ++i) seen.insert(gen.next().addr);
+  for (const MemRef& r : take(spec, 2, 64)) seen.insert(r.addr);
   // Sattolo cycle: all 64 nodes visited exactly once per period.
   EXPECT_EQ(seen.size(), 64u);
 }
@@ -126,9 +131,8 @@ TEST(TraceGen, MixtureUsesDistinctRanges) {
       {StreamPattern{.bytes_per_array = 4096, .arrays = 1}, 1.0});
   spec.components.push_back(
       {GatherPattern{.table_bytes = 4096, .elem_bytes = 8}, 1.0});
-  TraceGenerator gen(spec, 3);
   std::set<std::uint64_t> bases;
-  for (int i = 0; i < 1000; ++i) bases.insert(gen.next().addr >> 40);
+  for (const MemRef& r : take(spec, 3, 1000)) bases.insert(r.addr >> 40);
   EXPECT_GE(bases.size(), 2u);  // distinct 2^40 component windows
 }
 
@@ -389,11 +393,9 @@ TEST(TraceGen, StreamWrapStaysElementAligned) {
   AccessPatternSpec spec = AccessPatternSpec::single(
       StreamPattern{.bytes_per_array = 1001, .arrays = 1,
                     .writes_per_iter = 0});
-  TraceGenerator gen(spec, 11);
-  const std::uint64_t base = gen.next().addr;
-  TraceGenerator gen2(spec, 11);
-  for (int i = 0; i < 2000; ++i) {
-    const std::uint64_t off = gen2.next().addr - base;
+  const auto refs = take(spec, 11, 2000);
+  for (std::size_t i = 0; i < refs.size(); ++i) {
+    const std::uint64_t off = refs[i].addr - refs[0].addr;
     EXPECT_EQ(off % 8, 0u) << "misaligned after wrap at ref " << i;
     EXPECT_LT(off, 1001u);
   }
@@ -404,12 +406,10 @@ TEST(TraceGen, GatherStaysInsideDeclaredFootprint) {
   AccessPatternSpec spec = AccessPatternSpec::single(
       GatherPattern{.table_bytes = kTable, .elem_bytes = 8,
                     .sequential_fraction = 0.5});
-  TraceGenerator gen(spec, 13);
   std::uint64_t lo = ~std::uint64_t{0}, hi = 0;
-  for (int i = 0; i < 20000; ++i) {
-    const std::uint64_t a = gen.next().addr;
-    lo = std::min(lo, a);
-    hi = std::max(hi, a);
+  for (const MemRef& r : take(spec, 13, 20000)) {
+    lo = std::min(lo, r.addr);
+    hi = std::max(hi, r.addr);
   }
   // Driver stream and random gather together span at most table_bytes —
   // the range capacity scaling accounts for.
@@ -417,7 +417,8 @@ TEST(TraceGen, GatherStaysInsideDeclaredFootprint) {
 }
 
 // ---------------------------------------------------------------------
-// Batched generation and replay: bit-identical to the scalar oracle.
+// Generation and replay: bit-identical to the test-only reference model
+// (memsim_reference.hpp).
 
 std::vector<AccessPatternSpec> all_pattern_specs() {
   std::vector<AccessPatternSpec> specs;
@@ -431,8 +432,9 @@ std::vector<AccessPatternSpec> all_pattern_specs() {
   specs.push_back(AccessPatternSpec::single(
       StencilPattern{.nx = 12, .ny = 20, .nz = 7, .elem_bytes = 4,
                      .radius = 2, .full_box = false}));
+  // Small enough that a 30k-reference fill wraps the driver stream.
   specs.push_back(AccessPatternSpec::single(
-      GatherPattern{.table_bytes = 60'000, .elem_bytes = 8,
+      GatherPattern{.table_bytes = 20'000, .elem_bytes = 8,
                     .sequential_fraction = 0.2}));
   specs.push_back(AccessPatternSpec::single(
       ChasePattern{.footprint_bytes = 40'000, .node_bytes = 64}));
@@ -475,54 +477,54 @@ std::vector<AccessPatternSpec> all_pattern_specs() {
 class BatchedIdentity : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(BatchedIdentity, FillMatchesScalarNext) {
+  // One whole fill against the per-reference ReferenceGenerator.
   const auto spec = all_pattern_specs()[GetParam()];
   constexpr std::size_t kRefs = 30'000;
-  TraceGenerator scalar(spec, 99);
-  TraceGenerator batched(spec, 99);
-  std::vector<MemRef> buf(kRefs);
-  batched.fill(buf.data(), kRefs);
+  const auto got = take(spec, 99, kRefs);
+  reference::ReferenceGenerator ref(spec, 99);
   for (std::size_t i = 0; i < kRefs; ++i) {
-    const MemRef want = scalar.next();
-    ASSERT_EQ(buf[i].addr, want.addr) << "ref " << i;
-    ASSERT_EQ(buf[i].write, want.write) << "ref " << i;
+    const MemRef want = ref.next();
+    ASSERT_EQ(got[i].addr, want.addr) << "ref " << i;
+    ASSERT_EQ(got[i].write, want.write) << "ref " << i;
   }
 }
 
 TEST_P(BatchedIdentity, FillAndNextInterleaveCleanly) {
+  // Fills of odd sizes, each followed by five one-reference fills, must
+  // give exactly the trace one whole fill gives: the trace is invariant
+  // under chunking, which recording (4096-reference blocks) and replay
+  // (kReplayBlock blocks) rely on. 5000 spans a 4096-ref fill block.
   const auto spec = all_pattern_specs()[GetParam()];
-  TraceGenerator scalar(spec, 7);
-  TraceGenerator mixed(spec, 7);
-  // Alternate odd-sized fills with scalar next() calls; the generator
-  // state must track the pure-scalar stream exactly. 5000 spans a
-  // 4096-ref fill block boundary.
   const std::size_t chunks[] = {1, 7, 501, 3, 64, 997, 2, 5000, 130};
-  std::vector<MemRef> buf(*std::max_element(std::begin(chunks),
-                                            std::end(chunks)));
+  constexpr std::size_t kSingles = 5;
+  std::size_t total = 0;
+  for (const std::size_t c : chunks) total += c + kSingles;
+  TraceGenerator chunked(spec, 7);
+  std::vector<MemRef> got(total);
+  std::size_t at = 0;
   for (const std::size_t c : chunks) {
-    mixed.fill(buf.data(), c);
-    for (std::size_t i = 0; i < c; ++i) {
-      const MemRef want = scalar.next();
-      ASSERT_EQ(buf[i].addr, want.addr);
-      ASSERT_EQ(buf[i].write, want.write);
-    }
-    for (int i = 0; i < 5; ++i) {
-      const MemRef want = scalar.next();
-      const MemRef got = mixed.next();
-      ASSERT_EQ(got.addr, want.addr);
-      ASSERT_EQ(got.write, want.write);
-    }
+    chunked.fill(got.data() + at, c);
+    at += c;
+    for (std::size_t i = 0; i < kSingles; ++i) chunked.fill(&got[at++], 1);
+  }
+  const auto want = take(spec, 7, total);
+  for (std::size_t i = 0; i < total; ++i) {
+    ASSERT_EQ(got[i].addr, want[i].addr) << "ref " << i;
+    ASSERT_EQ(got[i].write, want[i].write) << "ref " << i;
   }
 }
 
 TEST_P(BatchedIdentity, ReplayMatchesScalarReplay) {
+  // Hierarchy::replay against reference_replay: the ReferenceGenerator
+  // walked one reference and one level at a time.
   const auto spec = all_pattern_specs()[GetParam()];
   for (const auto& cpu : arch::all_machines()) {
     Hierarchy hb(cpu, 6);
-    Hierarchy hs(cpu, 6);
-    TraceGenerator gb(spec, 3);
-    TraceGenerator gs(spec, 3);
-    const auto rb = hb.replay(gb, 40'000, 10'000);
-    const auto rs = hs.replay_scalar(gs, 40'000, 10'000);
+    SyntheticTraceSource src(spec, 3);
+    const auto rb = hb.replay(src, 40'000, 10'000);
+    reference::ReferenceGenerator ref(spec, 3);
+    const auto rs = reference::reference_replay(cpu, 6, ref, 40'000, 10'000);
+    EXPECT_EQ(rb.refs, rs.refs);
     ASSERT_EQ(rb.levels.size(), rs.levels.size());
     for (std::size_t i = 0; i < rb.levels.size(); ++i) {
       EXPECT_EQ(rb.levels[i].name, rs.levels[i].name);

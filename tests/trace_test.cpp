@@ -19,6 +19,7 @@
 #include "memsim/sim_cache.hpp"
 #include "memsim/trace_gen.hpp"
 #include "memsim/trace_source.hpp"
+#include "memsim_reference.hpp"
 
 namespace fpr::memsim {
 namespace {
@@ -326,8 +327,8 @@ TEST(TraceFormat, TextConvertRoundTripAndErrors) {
   std::remove(tmp_path("bad.fpt").c_str());
 }
 
-// The tentpole property: recording a synthetic pattern and replaying the
-// file reproduces the scalar synthetic replay's statistics exactly — for
+// Recording a synthetic pattern and replaying the file reproduces the
+// reference model's per-reference replay of that pattern exactly — for
 // every pattern class, on every Table I machine, with refs deliberately
 // not a multiple of the chunk size.
 TEST(RecordReplay, FileReplayMatchesSyntheticScalarEverywhere) {
@@ -341,9 +342,9 @@ TEST(RecordReplay, FileReplayMatchesSyntheticScalarEverywhere) {
     const std::string path = tmp_path("prop_" + name + ".fpt");
     record_spec(path, scaled, kSeed, kWarmup + kRefs);
     for (const auto& cpu : machines) {
-      Hierarchy hs(cpu, kShift);
-      TraceGenerator gen(scaled, kSeed);
-      const auto want = hs.replay_scalar(gen, kRefs, kWarmup);
+      reference::ReferenceGenerator gen(scaled, kSeed);
+      const auto want =
+          reference::reference_replay(cpu, kShift, gen, kRefs, kWarmup);
 
       Hierarchy hf(cpu, kShift);
       io::FileTraceSource src(path);
