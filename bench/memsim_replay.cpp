@@ -117,13 +117,11 @@ class BaselineCache {
 HierarchyResult baseline_replay(const fpr::arch::CpuSpec& cpu,
                                 unsigned scale_shift, TraceGenerator& gen,
                                 std::uint64_t refs, std::uint64_t warmup) {
-  // Recover the per-level configs through a real Hierarchy replay of 0
-  // refs (names + geometry), then rebuild baseline caches from them.
-  Hierarchy h(cpu, scale_shift);
+  // The level names and geometry Hierarchy builds for `cpu`, as
+  // baseline caches.
+  const auto geometry = hierarchy_levels(cpu, scale_shift);
   std::vector<BaselineCache> levels;
-  for (std::size_t i = 0; i < h.num_levels(); ++i) {
-    levels.emplace_back(h.level_config(i));
-  }
+  for (const auto& level : geometry) levels.emplace_back(level.config);
   std::vector<MemRef> block(1024);
   auto run = [&](std::uint64_t count) {
     while (count > 0) {
@@ -144,7 +142,7 @@ HierarchyResult baseline_replay(const fpr::arch::CpuSpec& cpu,
   HierarchyResult r;
   r.refs = refs;
   for (std::size_t i = 0; i < levels.size(); ++i) {
-    r.levels.push_back({h.level_name(i), levels[i].stats()});
+    r.levels.push_back({geometry[i].name, levels[i].stats()});
   }
   return r;
 }

@@ -95,13 +95,15 @@ constexpr const char* kUsage =
     "                       (overrides kernel/scale/threads/seed/\n"
     "                       trace-refs; rejects --timing/--no-sweep)\n"
     "\n"
-    "memsim options:\n"
+    "list/tables options: --csv as above\n"
+    "\n"
+    "memsim options (plus --kernel/--scale/--threads/--seed/--csv as above):\n"
     "  --refs N             trace references per simulation (also accepted\n"
     "                       as --trace-refs; default 400000)\n"
     "  --scale-shift S      capacity scale-down exponent: footprints and\n"
     "                       cache sizes shrink by 2^S (default 8, max 30)\n"
     "\n"
-    "trace options (plus --refs/--scale-shift/--csv as above):\n"
+    "trace options (plus --refs/--scale-shift/--threads/--csv as above):\n"
     "  --machine M[,M...]   replay only on the named Table I machines\n"
     "                       (default: all)\n"
     "  --refs N             measured references, > 0 (default: every\n"
@@ -146,7 +148,7 @@ constexpr const char* kUsage =
     "                       (overrides base/kernel/scale/threads/seed/\n"
     "                       trace-refs and every search option)\n"
     "\n"
-    "diff options:\n"
+    "diff options (plus --csv as above):\n"
     "  --tolerance T        max relative delta accepted per metric\n"
     "                       (default 0; exit 1 if any metric exceeds it)\n"
     "\n"
@@ -1219,19 +1221,24 @@ int cmd_diff(const RunOptions& opt, std::ostream& out, std::ostream& err) {
 
 }  // namespace
 
+std::string_view command_flags(std::string_view command) {
+  for (const auto& [name, flags] : kCommandFlags) {
+    if (name == command) return flags;
+  }
+  return {};
+}
+
 bool command_owns_flag(std::string_view command, std::string_view flag) {
   if (flag == "--kernels") flag = "--kernel";
   if (flag == "--refs") flag = "--trace-refs";
   if (flag == "--machines") flag = "--machine";
-  for (const auto& [name, flags] : kCommandFlags) {
-    if (name != command) continue;
-    // Every entry starts with "--", so a match starts on an entry; it
-    // must also end on one (--kernel is not --kernel-jobs).
-    for (auto at = flags.find(flag); at != std::string_view::npos;
-         at = flags.find(flag, at + 1)) {
-      const auto end = at + flag.size();
-      if (end == flags.size() || flags[end] == ' ') return true;
-    }
+  const auto flags = command_flags(command);
+  // Every entry starts with "--", so a match starts on an entry; it must
+  // also end on one (--kernel is not --kernel-jobs).
+  for (auto at = flags.find(flag); at != std::string_view::npos;
+       at = flags.find(flag, at + 1)) {
+    const auto end = at + flag.size();
+    if (end == flags.size() || flags[end] == ' ') return true;
   }
   return false;
 }

@@ -34,6 +34,11 @@ inline constexpr int kExitBadInput = 3;  ///< well-formed flags, bad data
 int run_cli(const std::vector<std::string>& args, std::ostream& out,
             std::ostream& err);
 
+/// The flags `command` takes, space-separated, each under its canonical
+/// spelling (--kernel, --trace-refs, --machine); empty for an unknown
+/// command.
+std::string_view command_flags(std::string_view command);
+
 /// True when `command` takes `flag` (or an alias of it, such as --refs
 /// for --trace-refs). run_cli rejects every other flag with kExitUsage;
 /// false for an unknown command.

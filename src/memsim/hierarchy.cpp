@@ -100,8 +100,7 @@ std::vector<LevelGeometry> hierarchy_levels(const arch::CpuSpec& cpu,
   return levels;
 }
 
-Hierarchy::Hierarchy(const arch::CpuSpec& cpu, unsigned scale_shift)
-    : scale_shift_(scale_shift) {
+Hierarchy::Hierarchy(const arch::CpuSpec& cpu, unsigned scale_shift) {
   for (auto& level : hierarchy_levels(cpu, scale_shift)) {
     levels_.emplace_back(level.config);
     names_.push_back(std::move(level.name));

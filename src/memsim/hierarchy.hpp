@@ -115,13 +115,9 @@ class Hierarchy {
                          std::uint64_t warmup = 0,
                          LastLevelStream* record = nullptr);
 
-  [[nodiscard]] unsigned scale_shift() const { return scale_shift_; }
   [[nodiscard]] std::size_t num_levels() const { return levels_.size(); }
   [[nodiscard]] const std::string& level_name(std::size_t i) const {
     return names_[i];
-  }
-  [[nodiscard]] const CacheConfig& level_config(std::size_t i) const {
-    return levels_[i].config();
   }
   /// Direct level access for drivers that stage the replay themselves
   /// (bench/memsim_replay's per-stage roofline keeps its timers outside
@@ -131,7 +127,6 @@ class Hierarchy {
  private:
   std::vector<Cache> levels_;
   std::vector<std::string> names_;
-  unsigned scale_shift_ = 0;
 };
 
 /// Convenience: replay a pattern spec with full-size footprints through a

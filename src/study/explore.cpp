@@ -69,7 +69,8 @@ ExploreResults ExploreEngine::run() {
     variants.push_back(std::move(v));
   }
 
-  // Phase 1: measure every kernel on the base exactly once.
+  // Phase 1: measure every kernel on the base exactly once, replaying
+  // the grid's new full-hierarchy geometries alongside.
   VariantEvaluator::Config ec;
   ec.kernels = cfg_.kernels;
   ec.scale = cfg_.scale;
@@ -78,7 +79,7 @@ ExploreResults ExploreEngine::run() {
   ec.seed = cfg_.seed;
   ec.jobs = cfg_.jobs;
   ec.kernel_jobs = cfg_.kernel_jobs;
-  const VariantEvaluator evaluator(base, ec, factory_);
+  const VariantEvaluator evaluator(base, ec, variants, factory_);
 
   // Phase 2: score the baseline and every variant from the cached
   // measurements as one batch — new geometries replay on cfg.jobs
@@ -100,6 +101,7 @@ ExploreResults ExploreEngine::run() {
   const auto sim = evaluator.sim_stats();
   stats_.sim_hits = sim.hits;
   stats_.sim_misses = sim.misses;
+  stats_.sim_stream_replays = sim.stream_replays;
   evaluator_stats_ = evaluator.stats();
   return out;
 }

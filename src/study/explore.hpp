@@ -9,7 +9,8 @@
 // Execution is the two-phase incremental pipeline: one
 // study::VariantEvaluator measurement pass over the base machine (each
 // kernel runs instrumented exactly once; cfg.kernel_jobs producers,
-// cfg.jobs machine-stage workers), then one evaluate_batch() over the
+// cfg.jobs machine-stage workers, which also replay the grid's new
+// full-hierarchy geometries), then one evaluate_batch() over the
 // baseline and every variant — new geometries replayed on cfg.jobs
 // workers, model arithmetic against the cached measurements, with
 // slot-ordered results. Variants are deduplicated
@@ -67,9 +68,9 @@ class ExploreEngine {
 
   /// Valid after run() returns (or throws): measurement-phase counters
   /// (kernel_runs, the base machine_evals) with the hierarchy-replay
-  /// hit/miss totals across measurement *and* variant scoring, plus one
-  /// machine_eval per scored (kernel, variant) pair — the same grid the
-  /// monolithic engine counted.
+  /// hit/miss/stream-replay totals across measurement *and* variant
+  /// scoring, plus one machine_eval per scored (kernel, variant) pair —
+  /// the same grid the monolithic engine counted.
   [[nodiscard]] const EngineStats& stats() const { return stats_; }
 
   /// Scoring-side counters (memo hits/misses, evaluate() calls).

@@ -107,40 +107,6 @@ ParetoResults ParetoEngine::run() {
                  {"mcdram-bw=1.25", "mcdram-bw=1.5", "mcdram-cap=2"});
   }
 
-  // Phase 1: the one-time measurement pass.
-  VariantEvaluator::Config ec;
-  ec.kernels = cfg_.kernels;
-  ec.scale = cfg_.scale;
-  ec.threads = cfg_.threads;
-  ec.trace_refs = cfg_.trace_refs;
-  ec.seed = cfg_.seed;
-  ec.jobs = cfg_.jobs;
-  ec.kernel_jobs = cfg_.kernel_jobs;
-  const VariantEvaluator evaluator(base, ec, factory_);
-
-  // Scoring workers: cfg_.jobs participants, the caller included (0 =
-  // all hardware), as for the StudyEngine.
-  ExecutionContext ctx(cfg_.jobs);
-
-  const auto objective_vector = [&](const VariantScore& s) {
-    std::vector<double> o;
-    o.reserve(cfg_.objectives.size());
-    for (const Objective obj : cfg_.objectives) {
-      switch (obj) {
-        case Objective::time:
-          o.push_back(s.geomean_time_ratio);
-          break;
-        case Objective::energy:
-          o.push_back(s.geomean_energy_ratio);
-          break;
-        case Objective::site:
-          o.push_back(-s.site_pct_peak);  // maximize -> minimize
-          break;
-      }
-    }
-    return o;
-  };
-
   // Run-wide canonical dedup: a machine is proposed at most once however
   // it is spelled. The candidate filters all run on the (sequential)
   // generation path, so counters and the admitted stream are identical
@@ -169,6 +135,48 @@ ParetoResults ParetoEngine::run() {
     }
     batch.push_back(std::move(v));
     budgets.push_back(budget);
+  };
+
+  // Seed round: the base itself, the built-in explore grid, and every
+  // single move. Admission needs only the base and the budget, so it
+  // runs before measurement and the seed batch is the evaluator's first.
+  admit("");
+  for (const auto& spec : arch::builtin_variant_specs(base)) admit(spec);
+  for (const auto& move : moves) admit(move);
+
+  // Phase 1: the one-time measurement pass, which also replays the
+  // seed batch's new full-hierarchy geometries.
+  VariantEvaluator::Config ec;
+  ec.kernels = cfg_.kernels;
+  ec.scale = cfg_.scale;
+  ec.threads = cfg_.threads;
+  ec.trace_refs = cfg_.trace_refs;
+  ec.seed = cfg_.seed;
+  ec.jobs = cfg_.jobs;
+  ec.kernel_jobs = cfg_.kernel_jobs;
+  const VariantEvaluator evaluator(base, ec, batch, factory_);
+
+  // Scoring workers: cfg_.jobs participants, the caller included (0 =
+  // all hardware), as for the StudyEngine.
+  ExecutionContext ctx(cfg_.jobs);
+
+  const auto objective_vector = [&](const VariantScore& s) {
+    std::vector<double> o;
+    o.reserve(cfg_.objectives.size());
+    for (const Objective obj : cfg_.objectives) {
+      switch (obj) {
+        case Objective::time:
+          o.push_back(s.geomean_time_ratio);
+          break;
+        case Objective::energy:
+          o.push_back(s.geomean_energy_ratio);
+          break;
+        case Objective::site:
+          o.push_back(-s.site_pct_peak);  // maximize -> minimize
+          break;
+      }
+    }
+    return o;
   };
 
   // NSGA-style archive: only non-dominated points survive insertion.
@@ -200,12 +208,7 @@ ParetoResults ParetoEngine::run() {
     budgets.clear();
   };
 
-  // Seed round: the base itself, the built-in explore grid, and every
-  // single move.
-  admit("");
-  for (const auto& spec : arch::builtin_variant_specs(base)) admit(spec);
-  for (const auto& move : moves) admit(move);
-  score_batch();
+  score_batch();  // the seed round
 
   // Expansion rounds: compose every archive member with every move
   // (depth-capped), then propose seeded explorer walks for diversity

@@ -12,7 +12,8 @@
 // non-dominated archive:
 //
 //   seed round   the base machine, the built-in grid, and every single
-//                move;
+//                move, admitted before measurement and handed to the
+//                VariantEvaluator as its first batch;
 //   round r      every archive member composed with every move (depth-
 //                capped), plus `explorers` seeded random walks
 //                (common/rng.hpp — no wall-clock, no random_device);

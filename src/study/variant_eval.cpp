@@ -30,15 +30,39 @@ double geomean_ratio(const std::vector<double>& ratios) {
   return std::exp(log_sum / static_cast<double>(ratios.size()));
 }
 
-VariantEvaluator::VariantEvaluator(arch::CpuSpec base, const Config& cfg,
-                                   StudyEngine::KernelFactory factory)
+namespace {
+
+/// What a machine's last-level input streams depend on besides the
+/// kernel: the core count (through the per-core slice) and every level
+/// but the last. Machines equal in it share those streams
+/// (SimCache::upper_key), so only one of them replays the whole
+/// hierarchy.
+std::string upper_geometry(const arch::CpuSpec& cpu) {
+  std::string g = std::to_string(cpu.cores);
+  const auto levels =
+      memsim::hierarchy_levels(cpu, model::kDefaultScaleShift);
+  for (std::size_t i = 0; i + 1 < levels.size(); ++i) {
+    g += ';';
+    g += std::to_string(levels[i].config.size_bytes);
+    g += ',';
+    g += std::to_string(levels[i].config.associativity);
+  }
+  return g;
+}
+
+}  // namespace
+
+VariantEvaluator::VariantEvaluator(
+    arch::CpuSpec base, const Config& cfg,
+    const std::vector<arch::MachineVariant>& first_batch,
+    StudyEngine::KernelFactory factory)
     : base_(std::move(base)),
       trace_refs_(cfg.trace_refs),
       sim_cache_(std::make_shared<memsim::SimCache>()) {
-  // Measurement phase: one study over the base machine alone. Each
-  // kernel runs instrumented exactly once; the base's hierarchy replays
-  // land in sim_cache_, which outlives the engine so later geometry-
-  // changing variants extend the same memo instead of restarting it.
+  // Measurement phase: one study over the base machine. Each kernel
+  // runs instrumented exactly once; the base's hierarchy replays land in
+  // sim_cache_, which outlives the engine so later geometry-changing
+  // variants extend the same memo instead of restarting it.
   StudyConfig sc;
   sc.scale = cfg.scale;
   sc.threads = cfg.threads;
@@ -51,10 +75,20 @@ VariantEvaluator::VariantEvaluator(arch::CpuSpec base, const Config& cfg,
   sc.canonical_timing = true;  // scores are analytic; keep them stable
   sc.machines.push_back(base_);
   sc.sim_cache = sim_cache_;
+  // One extra machine per new upper geometry in the first batch: its
+  // stages fill the stage workers while the producers run kernels, and
+  // leave full replays in sim_cache_ for evaluate_batch to hit.
+  std::unordered_set<std::string> uppers{upper_geometry(base_)};
+  for (const auto& v : first_batch) {
+    if (uppers.insert(upper_geometry(v.cpu)).second) {
+      sc.machines.push_back(v.cpu);
+    }
+  }
 
   StudyEngine engine(sc, std::move(factory));
   auto results = engine.run();  // rethrows kernel-verification failures
   measurement_stats_ = engine.stats();
+  measurement_stats_.machine_evals = results.kernels.size();  // base only
 
   ProfileSet base_profiles;
   base_profiles.reserve(results.kernels.size());

@@ -6,9 +6,11 @@
 // two phases:
 //
 //  1. a one-time *measurement phase*: every selected kernel runs
-//     instrumented exactly once (a StudyEngine over the base machine
-//     alone), and the base machine's hierarchy replays land in a
-//     SimCache the evaluator keeps alive;
+//     instrumented exactly once (a StudyEngine over the base machine),
+//     and the base machine's hierarchy replays land in a SimCache the
+//     evaluator keeps alive. Given the caller's first batch, the same
+//     StudyEngine also replays that batch's full-hierarchy geometries,
+//     on stage workers that would otherwise idle behind the kernel runs;
 //  2. batched *scoring*: evaluate_batch(variants) plans, replays,
 //     profiles, then scores. Memory profiles come from a model-level
 //     memo keyed by arch::memory_model_digest, so bandwidth/TDP/FPU
@@ -103,7 +105,19 @@ class VariantEvaluator {
   };
 
   /// Runs the measurement phase (throws whatever the kernel runs throw).
+  /// `first_batch` is the batch the caller will score first, derived
+  /// from `base` like any batch. Its machines whose replays walk the
+  /// whole hierarchy (the cores, or a level other than the last, differ
+  /// from the base and from each other) replay during the measurement
+  /// phase, so evaluate_batch(first_batch) finds them in the SimCache.
+  /// Machines that differ only in bandwidth or in the last level are
+  /// left to evaluate_batch: they hit the base's replays or walk one
+  /// level over its streams. Scores, EvaluatorStats and the SimCache
+  /// misses, stream replays and stream bytes are the same with or
+  /// without a first batch; SimCache hits rise by one per replay run
+  /// early.
   VariantEvaluator(arch::CpuSpec base, const Config& cfg,
+                   const std::vector<arch::MachineVariant>& first_batch = {},
                    StudyEngine::KernelFactory factory = nullptr);
 
   /// Score `variants` against the measured base, result i for variant i.
@@ -122,7 +136,10 @@ class VariantEvaluator {
   [[nodiscard]] const arch::CpuSpec& base() const { return base_; }
   [[nodiscard]] std::size_t kernel_count() const { return kernels_.size(); }
 
-  /// Measurement-phase counters (kernel_runs == kernel_count()).
+  /// Measurement-phase counters: kernel_runs == machine_evals ==
+  /// kernel_count() (the first batch's stages are counted when
+  /// evaluate_batch scores them); the sim counters include the first
+  /// batch's replays.
   [[nodiscard]] const EngineStats& measurement_stats() const {
     return measurement_stats_;
   }

@@ -12,6 +12,8 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -77,9 +79,10 @@ TEST(Cli, ForeignFlagIsUsageError) {
 }
 
 // Every flag the usage text lists under a command is one that command
-// takes. A "<cmd>[/<cmd>] options" header opens a section (its "(plus
-// --a/--b as above)" clause, which may wrap onto a line of its own,
-// lists flags too); a "[run]" tag narrows a flag to run.
+// takes, and every flag a command takes is listed under it. A
+// "<cmd>[/<cmd>] options" header opens a section (its "(plus --a/--b as
+// above)" clause, which may wrap onto a line of its own, lists flags
+// too); a "[run]" tag narrows a flag to run.
 TEST(Cli, EveryUsageFlagIsOwnedByItsCommand) {
   const auto help = run({"help"}).out;
   auto flags_in = [](const std::string& text) {
@@ -101,6 +104,7 @@ TEST(Cli, EveryUsageFlagIsOwnedByItsCommand) {
   std::string line;
   std::vector<std::string> section;
   std::size_t checked = 0;
+  std::map<std::string, std::set<std::string>> documented;
   while (std::getline(in, line)) {
     std::vector<std::string> owners = section;
     std::vector<std::string> flags;
@@ -122,11 +126,24 @@ TEST(Cli, EveryUsageFlagIsOwnedByItsCommand) {
       for (const auto& flag : flags) {
         EXPECT_TRUE(command_owns_flag(command, flag))
             << "usage lists " << flag << " under " << command;
+        documented[command].insert(flag == "--refs" ? "--trace-refs" : flag);
         ++checked;
       }
     }
   }
   EXPECT_GE(checked, 50u);
+  for (const std::string command : {"list", "tables", "run", "study",
+                                    "memsim", "trace", "explore", "pareto",
+                                    "diff"}) {
+    std::istringstream owned{std::string(command_flags(command))};
+    std::size_t count = 0;
+    for (std::string flag; owned >> flag; ++count) {
+      EXPECT_TRUE(documented[command].contains(flag))
+          << command << " takes " << flag << " but usage omits it";
+    }
+    EXPECT_GT(count, 0u) << command;
+  }
+  EXPECT_TRUE(command_flags("help").empty());
   // Aliases count as the flag they stand for.
   EXPECT_TRUE(command_owns_flag("memsim", "--refs"));
   EXPECT_TRUE(command_owns_flag("trace", "--machines"));

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "arch/machines.hpp"
 #include "arch/variant.hpp"
@@ -119,26 +120,73 @@ TEST(ExploreEngine, CountersIdenticalAcrossJobCounts) {
       new_digests.insert(digest);
     }
   }
-  auto run_at = [&](unsigned jobs) {
+  auto run_at = [&](unsigned jobs, unsigned kernel_jobs) {
     ExploreConfig c = cfg;
     c.jobs = jobs;
+    c.kernel_jobs = kernel_jobs;
     ExploreEngine engine(c);
     (void)engine.run();
     return std::make_pair(engine.stats(), engine.evaluator_stats());
   };
-  const auto [ref, ref_eval] = run_at(1);
+  const auto [ref, ref_eval] = run_at(1, 1);
   EXPECT_EQ(ref_eval.evaluations, cfg.variants.size() + 1);  // + baseline
   EXPECT_EQ(ref_eval.memo_misses, new_digests.size());
   EXPECT_EQ(ref_eval.memo_hits + ref_eval.memo_misses, ref_eval.evaluations);
-  for (const unsigned jobs : {2u, 8u}) {
-    const auto [st, eval] = run_at(jobs);
-    EXPECT_EQ(eval.evaluations, ref_eval.evaluations) << "jobs=" << jobs;
-    EXPECT_EQ(eval.memo_hits, ref_eval.memo_hits) << "jobs=" << jobs;
-    EXPECT_EQ(eval.memo_misses, ref_eval.memo_misses) << "jobs=" << jobs;
-    EXPECT_EQ(st.machine_evals, ref.machine_evals) << "jobs=" << jobs;
-    EXPECT_EQ(st.sim_hits, ref.sim_hits) << "jobs=" << jobs;
-    EXPECT_EQ(st.sim_misses, ref.sim_misses) << "jobs=" << jobs;
+  for (const unsigned jobs : {1u, 2u, 8u}) {
+    for (const unsigned kernel_jobs : {1u, 2u}) {
+      const auto [st, eval] = run_at(jobs, kernel_jobs);
+      const std::string at = "jobs=" + std::to_string(jobs) +
+                             " kernel-jobs=" + std::to_string(kernel_jobs);
+      EXPECT_EQ(eval.evaluations, ref_eval.evaluations) << at;
+      EXPECT_EQ(eval.memo_hits, ref_eval.memo_hits) << at;
+      EXPECT_EQ(eval.memo_misses, ref_eval.memo_misses) << at;
+      EXPECT_EQ(st.machine_evals, ref.machine_evals) << at;
+      EXPECT_EQ(st.sim_hits, ref.sim_hits) << at;
+      EXPECT_EQ(st.sim_misses, ref.sim_misses) << at;
+      EXPECT_EQ(st.sim_stream_replays, ref.sim_stream_replays) << at;
+    }
   }
+}
+
+TEST(ExploreEngine, ReplaysFullGeometriesWhileMeasuring) {
+  // The grid is the evaluator's first batch: its one new upper geometry
+  // (cores=0.9, twice) replays during measurement. Against a stand-alone
+  // evaluator that scores the same grid without a first batch, the
+  // scores, the misses and the stream replays are equal, the hits rise
+  // by one per prefetched replay, and machine_evals stays the scored
+  // grid.
+  ExploreConfig cfg = small_config();
+  cfg.variants = {"cores=0.9", "cores=0.9+tdp=0.9", "mcdram-cap=2",
+                  "mcdram-bw=1.5"};
+  ExploreEngine engine(cfg);
+  const auto r = engine.run();
+  const auto& st = engine.stats();
+  const std::uint64_t kernels = 2;
+  EXPECT_EQ(st.machine_evals, kernels * (1 + cfg.variants.size()));
+
+  VariantEvaluator::Config ec;
+  ec.kernels = cfg.kernels;
+  ec.scale = cfg.scale;
+  ec.threads = cfg.threads;
+  ec.trace_refs = cfg.trace_refs;
+  ec.seed = cfg.seed;
+  const VariantEvaluator plain(arch::knl(), ec);
+  std::vector<arch::MachineVariant> grid = {{"", arch::knl()}};
+  for (const auto& spec : cfg.variants) {
+    grid.push_back(arch::derive_variant(arch::knl(), spec));
+  }
+  const auto scores = plain.evaluate_batch(grid);
+  EXPECT_EQ(io::dump(io::to_json(scores.front())),
+            io::dump(io::to_json(r.baseline)));
+  for (std::size_t i = 0; i < r.variants.size(); ++i) {
+    EXPECT_EQ(io::dump(io::to_json(scores[i + 1])),
+              io::dump(io::to_json(r.variants[i])))
+        << r.variants[i].name();
+  }
+  const auto sim = plain.sim_stats();
+  EXPECT_EQ(st.sim_misses, sim.misses);
+  EXPECT_EQ(st.sim_stream_replays, sim.stream_replays);
+  EXPECT_EQ(st.sim_hits, sim.hits + kernels);
 }
 
 TEST(ExploreEngine, SharesHierarchyReplaysAcrossVariants) {

@@ -146,30 +146,50 @@ TEST(ParetoEngine, StatsAccountForTheCandidateStream) {
 }
 
 TEST(ParetoEngine, CountersIdenticalAcrossJobCounts) {
-  auto stats_at = [](unsigned jobs) {
+  // The seed batch's full-replay geometries run during measurement, on
+  // however many stage workers and producers there are; every counter,
+  // the measurement phase's included, must not depend on either count.
+  auto stats_at = [](unsigned jobs, unsigned kernel_jobs) {
     ParetoConfig cfg = small_config();
     cfg.jobs = jobs;
+    cfg.kernel_jobs = kernel_jobs;
     ParetoEngine engine(cfg);
     (void)engine.run();
     return engine.stats();
   };
-  const ParetoStats ref = stats_at(1);
+  const ParetoStats ref = stats_at(1, 1);
   EXPECT_EQ(ref.evaluator.memo_hits + ref.evaluator.memo_misses,
             ref.evaluator.evaluations);
-  for (const unsigned jobs : {2u, 8u}) {
-    const ParetoStats st = stats_at(jobs);
-    EXPECT_EQ(st.generated, ref.generated) << "jobs=" << jobs;
-    EXPECT_EQ(st.deduped, ref.deduped) << "jobs=" << jobs;
-    EXPECT_EQ(st.invalid, ref.invalid) << "jobs=" << jobs;
-    EXPECT_EQ(st.over_budget, ref.over_budget) << "jobs=" << jobs;
-    EXPECT_EQ(st.evaluated, ref.evaluated) << "jobs=" << jobs;
-    EXPECT_EQ(st.rounds, ref.rounds) << "jobs=" << jobs;
-    EXPECT_EQ(st.evaluator.evaluations, ref.evaluator.evaluations)
-        << "jobs=" << jobs;
-    EXPECT_EQ(st.evaluator.memo_hits, ref.evaluator.memo_hits)
-        << "jobs=" << jobs;
-    EXPECT_EQ(st.evaluator.memo_misses, ref.evaluator.memo_misses)
-        << "jobs=" << jobs;
+  EXPECT_EQ(ref.measurement.machine_evals, ref.measurement.kernel_runs);
+  // cores=0.9 is the seed batch's one new upper geometry (cores=1.25 is
+  // over the default budget), replayed while measuring.
+  EXPECT_EQ(ref.measurement.sim_misses, 2 * ref.measurement.kernel_runs);
+  for (const unsigned jobs : {1u, 2u, 8u}) {
+    for (const unsigned kernel_jobs : {1u, 2u}) {
+      if (jobs == 1 && kernel_jobs == 1) continue;
+      const ParetoStats st = stats_at(jobs, kernel_jobs);
+      const std::string at = "jobs=" + std::to_string(jobs) +
+                             " kernel-jobs=" + std::to_string(kernel_jobs);
+      EXPECT_EQ(st.generated, ref.generated) << at;
+      EXPECT_EQ(st.deduped, ref.deduped) << at;
+      EXPECT_EQ(st.invalid, ref.invalid) << at;
+      EXPECT_EQ(st.over_budget, ref.over_budget) << at;
+      EXPECT_EQ(st.evaluated, ref.evaluated) << at;
+      EXPECT_EQ(st.rounds, ref.rounds) << at;
+      EXPECT_EQ(st.evaluator.evaluations, ref.evaluator.evaluations) << at;
+      EXPECT_EQ(st.evaluator.memo_hits, ref.evaluator.memo_hits) << at;
+      EXPECT_EQ(st.evaluator.memo_misses, ref.evaluator.memo_misses) << at;
+      EXPECT_EQ(st.measurement.kernel_runs, ref.measurement.kernel_runs)
+          << at;
+      EXPECT_EQ(st.measurement.machine_evals, ref.measurement.machine_evals)
+          << at;
+      EXPECT_EQ(st.measurement.sim_hits, ref.measurement.sim_hits) << at;
+      EXPECT_EQ(st.measurement.sim_misses, ref.measurement.sim_misses) << at;
+      EXPECT_EQ(st.sim.hits, ref.sim.hits) << at;
+      EXPECT_EQ(st.sim.misses, ref.sim.misses) << at;
+      EXPECT_EQ(st.sim.stream_replays, ref.sim.stream_replays) << at;
+      EXPECT_EQ(st.sim.stream_bytes, ref.sim.stream_bytes) << at;
+    }
   }
 }
 
@@ -312,6 +332,112 @@ TEST(VariantEvaluator, BatchCountersAreIdenticalAcrossJobCounts) {
     EXPECT_EQ(r.sim.hits, ref.sim.hits) << "jobs=" << jobs;
     EXPECT_EQ(r.sim.misses, ref.sim.misses) << "jobs=" << jobs;
   }
+}
+
+/// Small evaluator config shared by the first-batch tests.
+VariantEvaluator::Config first_batch_config() {
+  VariantEvaluator::Config ec;
+  ec.kernels = {"HPL", "BABL2"};
+  ec.scale = 0.15;
+  ec.threads = 1;
+  ec.trace_refs = 60'000;
+  return ec;
+}
+
+std::vector<arch::MachineVariant> derive_all(
+    const arch::CpuSpec& base, const std::vector<std::string>& specs) {
+  std::vector<arch::MachineVariant> out;
+  for (const auto& spec : specs) out.push_back(arch::derive_variant(base, spec));
+  return out;
+}
+
+TEST(VariantEvaluator, FirstBatchReplaysFullGeometriesDuringMeasurement) {
+  // Two new upper geometries (cores=0.9 twice, cores=1.25) beside
+  // respins that reuse the base's replays: the measurement phase
+  // replays the base plus the two geometries, and scoring the batch
+  // then simulates nothing. Scores, memo counters and SimCache misses,
+  // stream replays and stream bytes match an evaluator built without a
+  // first batch; only the hits rise, by one per replay run early.
+  const arch::CpuSpec base = arch::knl();
+  const auto batch =
+      derive_all(base, {"", "tdp=0.85", "cores=0.9", "cores=1.25",
+                        "cores=0.9+dram-bw=1.25", "mcdram-bw=1.5"});
+  const std::uint64_t kernels = 2, geometries = 2;
+
+  VariantEvaluator::Config ec = first_batch_config();
+  const VariantEvaluator plain(base, ec);
+  EXPECT_EQ(plain.sim_stats().misses, kernels);
+  std::string plain_scores;
+  for (const auto& s : plain.evaluate_batch(batch)) {
+    plain_scores += io::dump(io::to_json(s));
+  }
+  const auto plain_sim = plain.sim_stats();
+
+  struct Run {
+    EngineStats measurement;
+    memsim::SimCache::Stats measured, scored;
+    EvaluatorStats stats;
+  };
+  std::vector<Run> runs;
+  for (const unsigned jobs : {1u, 2u, 8u}) {
+    for (const unsigned kernel_jobs : {1u, 2u}) {
+      const std::string at = "jobs=" + std::to_string(jobs) +
+                             " kernel-jobs=" + std::to_string(kernel_jobs);
+      ec.jobs = jobs;
+      ec.kernel_jobs = kernel_jobs;
+      const VariantEvaluator primed(base, ec, batch);
+      Run r;
+      r.measurement = primed.measurement_stats();
+      r.measured = primed.sim_stats();
+      EXPECT_EQ(r.measured.misses, kernels * (1 + geometries)) << at;
+      EXPECT_EQ(r.measurement.machine_evals, kernels) << at;
+
+      ExecutionContext ctx(jobs);
+      std::string scores;
+      for (const auto& s : primed.evaluate_batch(batch, &ctx)) {
+        scores += io::dump(io::to_json(s));
+      }
+      r.scored = primed.sim_stats();
+      r.stats = primed.stats();
+      EXPECT_EQ(scores, plain_scores) << at;
+      EXPECT_EQ(r.scored.misses, r.measured.misses) << at;  // all prefetched
+      EXPECT_EQ(r.scored.misses, plain_sim.misses) << at;
+      EXPECT_EQ(r.scored.stream_replays, plain_sim.stream_replays) << at;
+      EXPECT_EQ(r.scored.stream_bytes, plain_sim.stream_bytes) << at;
+      EXPECT_EQ(r.scored.hits, plain_sim.hits + kernels * geometries) << at;
+      EXPECT_EQ(r.stats.evaluations, plain.stats().evaluations) << at;
+      EXPECT_EQ(r.stats.memo_hits, plain.stats().memo_hits) << at;
+      EXPECT_EQ(r.stats.memo_misses, plain.stats().memo_misses) << at;
+      if (!runs.empty()) {
+        const Run& ref = runs.front();
+        EXPECT_EQ(r.measurement.kernel_runs, ref.measurement.kernel_runs)
+            << at;
+        EXPECT_EQ(r.measurement.sim_hits, ref.measurement.sim_hits) << at;
+        EXPECT_EQ(r.measurement.sim_misses, ref.measurement.sim_misses)
+            << at;
+        EXPECT_EQ(r.measurement.sim_stream_replays,
+                  ref.measurement.sim_stream_replays)
+            << at;
+        EXPECT_EQ(r.measured.hits, ref.measured.hits) << at;
+        EXPECT_EQ(r.measured.stream_bytes, ref.measured.stream_bytes) << at;
+      }
+      runs.push_back(r);
+    }
+  }
+}
+
+TEST(VariantEvaluator, LastLevelAndBandwidthVariantsAddNoMeasurementReplays) {
+  // A last-level-only or bandwidth-only machine would only wait on the
+  // base's replay in the measurement phase; it stays with evaluate_batch.
+  const arch::CpuSpec base = arch::knl();
+  const VariantEvaluator plain(base, first_batch_config());
+  const VariantEvaluator primed(
+      base, first_batch_config(),
+      derive_all(base, {"mcdram-cap=2", "mcdram-bw=1.5", "dram-bw=1.5",
+                        "mcdram-cap=2+tdp=0.9"}));
+  EXPECT_EQ(primed.sim_stats().misses, plain.sim_stats().misses);
+  EXPECT_EQ(primed.sim_stats().hits, plain.sim_stats().hits);
+  EXPECT_EQ(primed.sim_stats().stream_bytes, plain.sim_stats().stream_bytes);
 }
 
 TEST(ParetoJson, RoundTripIsLossless) {
